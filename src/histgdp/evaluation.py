@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data_ingest import Dataset, LocationTable
-from .errors import ValidationError
+from .errors import HistGdpError, ValidationError
 from .features import build_static_features, initial_gdp
 from .numerics import kruskal_wallis, mae_relative, pearson, quantile, r2_log
 from .pipeline import (
@@ -167,7 +167,12 @@ def run_single_split(
         )
         labels_train = {k: train_source[k] for k in fm.row_keys if k in train_source}
         # no-leakage guarantee: the tuning matrix rows are disjoint from test keys
-        assert not set(labels_train) & test_keys
+        leaked = set(labels_train) & test_keys
+        if leaked:
+            raise ValidationError(
+                f"run_single_split: {len(leaked)} test row(s) reached the tuning "
+                f"matrix, first {min(leaked)}"
+            )
         tpm = train_period(
             period, fm, labels_train, config,
             completed_periods=tuple(completed),
@@ -256,7 +261,8 @@ def evaluate_models(
 ) -> PerformanceDistribution:
     """Repeat the country-held-out protocol over independently seeded splits.
 
-    Failed splits are recorded with their reason, never silently dropped.
+    A split that raises a :class:`HistGdpError` is recorded as failed with
+    its reason, never silently dropped; any other exception propagates.
     A prebuilt ``statics`` cache (built with the same feature settings)
     lets repeated evaluations on one dataset skip feature construction.
     """
@@ -286,7 +292,7 @@ def evaluate_models(
             return run_single_split(
                 dataset, config, statics, split_index, master_seed, policy
             )
-        except Exception as err:  # a failed split must not crash the harness
+        except HistGdpError as err:  # an expected failure; bugs still raise
             return SplitMetrics(
                 split_index=split_index,
                 seed=child_seed(master_seed, "split", split_index),

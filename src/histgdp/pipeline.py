@@ -23,7 +23,7 @@ import numpy as np
 from .config import RunConfig
 from .data_ingest import Dataset, LocationTable
 from .elasticnet import CvResult, EnModel, en_cv, en_fit, fit_centered
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .features import (
     FeatureMatrix,
     attach_initial_gdp,
@@ -34,6 +34,7 @@ from .numerics import ols_fit, quantile, standardize
 from .rng import child_rng, child_seed
 
 MIN_BOOTSTRAP_SAMPLES = 50
+MAX_RESAMPLE_ATTEMPTS = 100  # draws per replicate before a constant response is fatal
 
 
 @dataclass(frozen=True)
@@ -314,6 +315,8 @@ def bootstrap_ci(
     refits at the already-chosen hyperparameters, and takes quantiles of
     the level-scale predictions.  ``level_factors`` multiplies each
     target's replicate predictions (the regional rescaling factor).
+    A resample with a constant response is redrawn; a replicate that draws
+    one ``MAX_RESAMPLE_ATTEMPTS`` times raises :class:`NumericalError`.
     Returns (ci_low, ci_high, skipped_replicates).
     """
     if n_samples < MIN_BOOTSTRAP_SAMPLES:
@@ -337,7 +340,7 @@ def bootstrap_ci(
     predictions = np.empty((n_samples, targets.shape[0]))
     skipped = 0
     for b in range(n_samples):
-        for attempt in range(100):
+        for attempt in range(MAX_RESAMPLE_ATTEMPTS):
             rng = child_rng(seed, "bootstrap", b, attempt)
             if unit == "row":
                 idx = rng.integers(0, n, size=n)
@@ -348,6 +351,11 @@ def bootstrap_ci(
             if not degenerate:
                 break
             skipped += 1
+        else:
+            raise NumericalError(
+                f"bootstrap_ci: replicate {b} drew a constant response in "
+                f"{MAX_RESAMPLE_ATTEMPTS} resamples"
+            )
         beta, col_means, y_mean = fit_centered(
             x[idx], y[idx], alpha, lam, warm_start=warm
         )
@@ -577,8 +585,8 @@ def run_full(
             "n_training_rows": len(tpm.training_keys),
             "n_estimates": len(ordered),
             "n_gated": len(gated),
-            "sweeps": tpm.model.n_sweeps,
-            "max_delta": tpm.model.max_delta,
+            "solver_steps": tpm.model.n_sweeps,
+            "kkt_violation": tpm.model.max_delta,
             "dropped_constant_columns": len(tpm.dropped_columns),
             "skipped_bootstrap_replicates": skipped,
         }

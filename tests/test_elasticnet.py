@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from histgdp import elasticnet
 from histgdp.elasticnet import (
     CvResult,
     EnModel,
@@ -10,7 +11,7 @@ from histgdp.elasticnet import (
     en_predict,
     lambda_path,
 )
-from histgdp.errors import ValidationError
+from histgdp.errors import NumericalError, ValidationError
 from histgdp.numerics import Matrix, ols_fit, standardize
 
 
@@ -272,3 +273,85 @@ class TestSerialization:
         lam_top = float(lambda_path(x, y, 1.0, n_lambda=2)[0])
         model = en_fit(x, y, 1.0, lam_top, feature_names=("a", "b", "c", "d"))
         assert model.selected_features == ()
+
+
+def _dummy_design(seed, n=120, p_cont=6, levels=5):
+    # continuous columns plus a full one-hot set: after centering the
+    # dummies sum to zero, so the Gram matrix has rank p - 1, like the
+    # supranational dummies of the real design
+    rng = np.random.default_rng(seed)
+    cont = rng.normal(size=(n, p_cont))
+    group = np.arange(n) % levels
+    x = standardize(np.hstack([cont, np.eye(levels)[group]])).matrix.values
+    y = cont @ rng.normal(size=p_cont) + rng.normal(size=levels)[group] + 0.3 * rng.normal(size=n)
+    return x, y
+
+
+class TestCollinearDesign:
+    TOL = 1e-9
+
+    def test_design_is_rank_deficient(self):
+        x, _ = _dummy_design(0)
+        assert np.linalg.matrix_rank(x) == x.shape[1] - 1
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_path_certified_and_warm_equals_cold(self, seed, alpha):
+        x, y = _dummy_design(seed)
+        gram = x.T @ x
+        xty = x.T @ (y - y.mean())
+        warm = None
+        capped = 0
+        for lam in lambda_path(x, y, alpha, n_lambda=100, ratio=1e-4):
+            lam = float(lam)
+            model_w = en_fit(x, y, alpha, lam, warm_start=warm, tol=self.TOL)
+            model_c = en_fit(x, y, alpha, lam, tol=self.TOL)
+            warm = model_w.coefficients
+            for model in (model_w, model_c):
+                assert model.max_delta <= self.TOL
+                beta = model.coefficients
+                grad = x.T @ (y - y.mean() - x @ beta)
+                for j in range(beta.size):
+                    if beta[j] != 0.0:
+                        resid = (grad[j] - lam * alpha / 2 * np.sign(beta[j])
+                                 - lam * (1 - alpha) * beta[j])
+                        assert abs(resid) <= 1e-6
+                    else:
+                        assert abs(grad[j]) <= lam * alpha / 2 + 1e-6
+            assert np.max(np.abs(x @ (model_w.coefficients - model_c.coefficients))) <= 1e-8
+            if model_c.n_sweeps > 1:
+                capped += 1
+                with pytest.raises(NumericalError, match="KKT violation"):
+                    _cd_solve(gram, xty, alpha, lam, None, self.TOL, 1)
+        assert capped > 50
+
+    def test_singular_active_block_leaves_by_null_direction(self):
+        # every dummy active with one sign: the block is singular and the
+        # l1 term falls along its null direction, so the solver must move
+        # along it to a sign crossing rather than stall
+        x, y = _dummy_design(0)
+        gram = x.T @ x
+        xty = x.T @ (y - y.mean())
+        lam = float(lambda_path(x, y, 1.0, n_lambda=100, ratio=1e-4)[60])
+        start = np.zeros(x.shape[1])
+        start[6:] = 1.0
+        beta, steps, violation = _cd_solve(gram, xty, 1.0, lam, start, self.TOL, 100)
+        cold, _, _ = _cd_solve(gram, xty, 1.0, lam, None, self.TOL, 100)
+        assert violation <= self.TOL
+        assert np.max(np.abs(x @ (beta - cold))) <= 1e-8
+        assert np.count_nonzero(beta[6:]) < 5
+
+
+def test_stalled_steps_are_repaired_by_sweeps(monkeypatch):
+    # a step that leaves beta unchanged (a floating-point tie) falls back
+    # to coordinate sweeps, which alone still reach the certified optimum
+    x, y = _standardized_problem(24, n=60, p=8)
+    gram = x.T @ x
+    xty = x.T @ (y - y.mean())
+    lam = float(lambda_path(x, y, 0.7, n_lambda=10, ratio=1e-2)[5])
+    exact, _, _ = _cd_solve(gram, xty, 0.7, lam, None, 1e-10, 100)
+    monkeypatch.setattr(elasticnet, "_active_step", lambda gram, beta, *rest: beta.copy())
+    repaired, steps, violation = _cd_solve(gram, xty, 0.7, lam, None, 1e-10, 10_000)
+    assert violation <= 1e-10
+    assert steps > 1
+    assert np.max(np.abs(repaired - exact)) <= 1e-8

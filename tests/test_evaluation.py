@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from histgdp.data_ingest import Location, LocationTable
-from histgdp.errors import ValidationError
+from histgdp import evaluation
+from histgdp.errors import NumericalError, ValidationError
 from histgdp.evaluation import (
     SplitMetrics,
     evaluate_models,
@@ -133,8 +134,25 @@ class TestEvaluateModels:
         seeds = [s.seed for s in dist.splits]
         assert len(set(seeds)) == 4
 
+    def test_programming_error_propagates(self, small_world, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no convergence")
+
+        monkeypatch.setattr(evaluation, "run_single_split", broken)
+        with pytest.raises(RuntimeError, match="no convergence"):
+            evaluate_models(small_world.dataset, small_test_config(), n_splits=2)
+
+    def test_numerical_error_is_a_failed_split(self, small_world, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalError("did not converge")
+
+        monkeypatch.setattr(evaluation, "run_single_split", failing)
+        dist = evaluate_models(small_world.dataset, small_test_config(), n_splits=2)
+        assert dist.n_failed == 2
+        assert all(s.failed == "NumericalError: did not converge" for s in dist.splits)
+
     def test_no_leakage_between_train_and_test(self, small_world):
-        # the structural assert inside run_single_split guards this; here we
+        # the explicit check inside run_single_split guards this; here we
         # confirm the split spec itself separates regions with their country
         locations = small_world.dataset.locations
         spec = split_countries(locations.countries(), 0.25, seed=2, locations=locations)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from histgdp.data_ingest import Location, LocationTable
-from histgdp.errors import ValidationError
+from histgdp import pipeline
+from histgdp.elasticnet import DEFAULT_TOL
+from histgdp.errors import NumericalError, ValidationError
 from histgdp.features import build_feature_matrix
 from histgdp.pipeline import (
     PERIODS,
@@ -168,6 +170,19 @@ class TestBootstrap:
         assert np.all(lo <= hi)
         assert skipped == 0
 
+    def test_only_degenerate_resamples_raise(self, monkeypatch):
+        # a resampler that only ever draws row 0 makes every resample's
+        # response constant, while the full response is not
+        class RowZero:
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=int)
+
+        monkeypatch.setattr(pipeline, "child_rng", lambda *args: RowZero())
+        x = np.arange(24.0).reshape(12, 2)
+        y = np.arange(12.0)
+        with pytest.raises(NumericalError, match="constant response"):
+            bootstrap_ci(x, y, 0.5, 1.0, np.zeros((1, 2)), n_samples=50, seed=1)
+
     def test_country_unit_needs_clusters(self):
         with pytest.raises(ValidationError):
             bootstrap_ci(
@@ -227,6 +242,13 @@ class TestTrainPeriod:
 
 
 class TestRunFull:
+    def test_report_certifies_every_period(self, small_run):
+        fitted = [e for e in small_run.report["periods"].values() if "skipped" not in e]
+        assert fitted
+        for entry in fitted:
+            assert entry["solver_steps"] >= 1
+            assert 0.0 <= entry["kkt_violation"] <= DEFAULT_TOL
+
     def test_source_rows_pass_through(self, small_world, small_run):
         by_key = {}
         for e in small_run.estimates:
