@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InputError, ValidationError
 
@@ -40,6 +43,7 @@ GDP_HEADER = ["location_id", "year", "gdp_pc_2011usd", "source"]
 SNAPSHOT_YEARS = tuple(range(1300, 2000, 50)) + (2000,)
 
 FLOWS = ("births", "deaths", "immigrants", "emigrants")
+LEVELS = ("country", "region")
 
 
 @dataclass(frozen=True)
@@ -384,7 +388,7 @@ def assign_flows(records, locations: LocationTable, snapshot_year: int, window_y
     for r in records:
         if not (snapshot_year - window_years <= r.birth_year <= snapshot_year):
             continue
-        for level in ("country", "region"):
+        for level in LEVELS:
             b = _point_at_level(r.birth_location, locations, level)
             d = _point_at_level(r.death_location, locations, level)
             if b is not None:
@@ -406,6 +410,58 @@ def assign_flows(records, locations: LocationTable, snapshot_year: int, window_y
     )
 
 
+@dataclass(frozen=True)
+class RecordIndex:
+    """Per-record arrays in person-id order, for vectorized feature counts.
+
+    ``birth_row[level]`` and ``death_row[level]`` hold each record's row in
+    ``location_ids[level]`` by the ``_point_at_level`` rules (a region
+    rolls up to its country; a country-only location has no region row),
+    or -1 where the endpoint is missing or unresolvable at that level.
+    """
+
+    records: tuple  # BiographyRecord, sorted by person_id
+    birth_year: np.ndarray  # int
+    occupation: np.ndarray  # int code into the dataset's sorted occupations
+    lifespan: np.ndarray  # float, NaN without a death year
+    location_ids: dict  # level -> location ids in row order
+    birth_row: dict  # level -> int array
+    death_row: dict  # level -> int array
+
+
+def index_records(records, locations: LocationTable, occupations) -> RecordIndex:
+    """Build the record index; ``occupations`` fixes the occupation codes."""
+    ordered = tuple(sorted(records, key=lambda r: r.person_id))
+    occ_code = {occ: k for k, occ in enumerate(occupations)}
+    location_ids, birth_row, death_row = {}, {}, {}
+    for level in LEVELS:
+        ids = tuple(locations.ids(level))
+        row = {lid: i for i, lid in enumerate(ids)}
+        point = {
+            lid: row[p]
+            for lid in locations.ids()
+            if (p := _point_at_level(lid, locations, level)) is not None
+        }
+        location_ids[level] = ids
+        birth_row[level] = np.array(
+            [point.get(r.birth_location, -1) for r in ordered], dtype=np.intp
+        )
+        death_row[level] = np.array(
+            [point.get(r.death_location, -1) for r in ordered], dtype=np.intp
+        )
+    return RecordIndex(
+        records=ordered,
+        birth_year=np.array([r.birth_year for r in ordered], dtype=np.int64),
+        occupation=np.array([occ_code[r.occupation] for r in ordered], dtype=np.intp),
+        lifespan=np.array(
+            [np.nan if r.lifespan is None else r.lifespan for r in ordered], dtype=float
+        ),
+        location_ids=location_ids,
+        birth_row=birth_row,
+        death_row=death_row,
+    )
+
+
 @dataclass
 class Dataset:
     """Validated inputs plus the indexes the pipeline needs."""
@@ -418,7 +474,12 @@ class Dataset:
     def __post_init__(self):
         self.source_levels = {(o.location_id, o.year): o.gdp_pc for o in self.gdp}
         self.by_person = {r.person_id: r for r in self.records}
+        if len(self.by_person) != len(self.records):
+            counts = Counter(r.person_id for r in self.records)
+            duplicates = sorted(pid for pid, n in counts.items() if n > 1)
+            raise ValidationError(f"duplicate person_id in dataset records: {duplicates[:5]}")
         self.occupations = sorted({r.occupation for r in self.records})
+        self.record_index = index_records(self.records, self.locations, self.occupations)
 
 
 def load_dataset(

@@ -10,6 +10,11 @@ Count matrices and everything derived from them (RCA, complexity, SVD,
 ubiquity) are computed separately per hierarchy level -- mixing country
 rows and region rows in one matrix would double-count every individual.
 
+``build_static_features`` counts from the dataset's record index
+(``Dataset.record_index``) with array operations.  ``assign_flows``,
+``flow_counts`` and ``avg_age`` compute the same counts record by record;
+they are the reference the vectorized build is tested against.
+
 Feature columns, in order:
 
     <flow>.total, <flow>.<occupation>   per flow (births, deaths,
@@ -32,7 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_ingest import FLOWS, FlowAssignment, LocationTable, assign_flows
+# assign_flows is not called here; it is re-exported beside flow_counts and
+# avg_age, the per-record reference of build_static_features.
+from .data_ingest import FLOWS, LEVELS, FlowAssignment, LocationTable, assign_flows
 from .errors import NumericalError, ValidationError
 from .numerics import Matrix, spearman, svd
 
@@ -87,11 +94,15 @@ class CountTensor:
     occupations: tuple
     weighted: dict  # flow -> (L, K) float array
     unweighted: dict  # flow -> (L, K) int array
+    _rows: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", {lid: i for i, lid in enumerate(self.location_ids)})
 
     def row(self, location_id: str) -> int:
         try:
-            return self.location_ids.index(location_id)
-        except ValueError:
+            return self._rows[location_id]
+        except KeyError:
             raise ValidationError(
                 f"location '{location_id}' not in {self.level}-level tensor"
             ) from None
@@ -107,7 +118,6 @@ def flow_counts(
     level: str,
     occupations,
     reference_year: int = DEFAULT_REFERENCE_YEAR,
-    weights: dict | None = None,
 ) -> CountTensor:
     """Aggregate flow memberships into location x occupation counts."""
     location_ids = tuple(locations.ids(level))
@@ -133,10 +143,7 @@ def flow_counts(
                     raise ValidationError(
                         f"occupation '{record.occupation}' missing from vocabulary"
                     )
-                if weights is not None:
-                    w[i, k] += weights[pid]
-                else:
-                    w[i, k] += hpi_weight(record, reference_year)
+                w[i, k] += hpi_weight(record, reference_year)
                 u[i, k] += 1
         weighted[flow] = w
         unweighted[flow] = u
@@ -160,14 +167,10 @@ def avg_ubiquity(counts: CountTensor, flow: str) -> np.ndarray:
     Ubiquity of an occupation is the number of locations where it is
     present.  Locations with nothing present get 0.
     """
-    present = counts.unweighted[flow] >= 1
-    ubiquity = present.sum(axis=0)
-    out = np.zeros(len(counts.location_ids))
-    for i in range(out.size):
-        occ_present = present[i]
-        if occ_present.any():
-            out[i] = float(ubiquity[occ_present].mean())
-    return out
+    present = (counts.unweighted[flow] >= 1).astype(np.int64)
+    n_present = present.sum(axis=1)
+    total = present @ present.sum(axis=0)
+    return np.where(n_present > 0, total / np.maximum(n_present, 1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,10 @@ def _zscore(v: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / sd
 
 
+def _ranks(v: np.ndarray) -> np.ndarray:
+    return np.argsort(np.argsort(v))
+
+
 def eci(m, max_iterations: int = 1000) -> EciResult:
     """Complexity indices as the fixed point of the mutual-averaging map.
 
@@ -249,18 +256,17 @@ def eci(m, max_iterations: int = 1000) -> EciResult:
         loc = _zscore((mv @ ubiq) / div)
     if not loc.any():
         loc = _zscore(np.arange(rows, dtype=float))
-    prev_ranks = np.argsort(np.argsort(loc))
     for iteration in range(1, max_iterations + 1):
         occ = (mv.T @ loc) / ubiq
         nxt = _zscore((mv @ occ) / div)
         if not nxt.any():
             return EciResult(np.zeros(rows), np.zeros(cols), iteration, degenerate=True)
-        ranks = np.argsort(np.argsort(nxt))
         delta = float(np.max(np.abs(nxt - loc)))
+        # the rank test costs two sorts, so it waits for the value test
+        stable = delta < 1e-9 and np.array_equal(_ranks(nxt), _ranks(loc))
         loc = nxt
-        if np.array_equal(ranks, prev_ranks) and delta < 1e-9:
+        if stable:
             break
-        prev_ranks = ranks
     else:
         raise NumericalError(f"eci did not converge within {max_iterations} iterations")
 
@@ -437,16 +443,75 @@ class StaticFeatures:
 
     matrix: FeatureMatrix
     tensors: dict  # level -> CountTensor
-    flows: FlowAssignment
+    _gates: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        gates = {}
+        for tensor in self.tensors.values():
+            births = tensor.unweighted_totals("births").tolist()
+            deaths = tensor.unweighted_totals("deaths").tolist()
+            gates.update(zip(tensor.location_ids, zip(births, deaths)))
+        object.__setattr__(self, "_gates", gates)
 
     def gate_counts(self, location_id: str) -> tuple[int, int]:
-        level = "country" if location_id in self.tensors["country"].location_ids else "region"
-        tensor = self.tensors[level]
-        i = tensor.row(location_id)
-        return (
-            int(tensor.unweighted_totals("births")[i]),
-            int(tensor.unweighted_totals("deaths")[i]),
-        )
+        """Unweighted (births, deaths) of one location in this year."""
+        try:
+            return self._gates[location_id]
+        except KeyError:
+            raise ValidationError(f"location '{location_id}' not in the count tensors") from None
+
+
+def _linearized(values: np.ndarray, scale: str) -> np.ndarray:
+    # element-wise through math: np.log10 differs from math.log10 in the
+    # last bit on some inputs, and the features are defined by linearize
+    flat = [linearize(v, scale) for v in values.ravel().tolist()]
+    return np.array(flat, dtype=float).reshape(values.shape)
+
+
+def _index_counts(index, level: str, window: np.ndarray, weights: np.ndarray, occupations):
+    """Count tensor of one level, plus each location's lifespan sum and
+    count over its members (births or deaths there) with a death year."""
+    n_loc, n_occ = len(index.location_ids[level]), len(occupations)
+    b = index.birth_row[level][window]
+    d = index.death_row[level][window]
+    moved = (b >= 0) & (d >= 0) & (b != d)
+    rows = {
+        "births": b,
+        "deaths": d,
+        "immigrants": np.where(moved, d, -1),
+        "emigrants": np.where(moved, b, -1),
+    }
+    occ = index.occupation[window]
+    weighted, unweighted = {}, {}
+    for flow in FLOWS:
+        member = rows[flow] >= 0
+        # bincount adds in person-id order, as flow_counts does
+        cell = rows[flow][member] * n_occ + occ[member]
+        weighted[flow] = np.bincount(
+            cell, weights[member], minlength=n_loc * n_occ
+        ).reshape(n_loc, n_occ)
+        unweighted[flow] = np.bincount(cell, minlength=n_loc * n_occ).reshape(n_loc, n_occ)
+    tensor = CountTensor(
+        level, index.location_ids[level], tuple(occupations), weighted, unweighted
+    )
+
+    lifespan = index.lifespan[window]
+    dated = ~np.isnan(lifespan)
+    at_birth = dated & (b >= 0)
+    at_death = dated & (d >= 0) & (d != b)  # a member once, however many flows
+    members = np.concatenate([b[at_birth], d[at_death]])
+    span_sum = np.bincount(
+        members, np.concatenate([lifespan[at_birth], lifespan[at_death]]), minlength=n_loc
+    )
+    return tensor, span_sum, np.bincount(members, minlength=n_loc)
+
+
+def _eci_column(tensor: CountTensor, flow: str) -> np.ndarray:
+    out = np.zeros(len(tensor.location_ids))
+    if tensor.weighted[flow].any():
+        rca = rca_matrix(tensor, flow)
+        out[[tensor.row(lid) for lid in rca.matrix.row_labels]] = eci(rca.matrix).eci
+    return out
 
 
 def build_static_features(
@@ -456,23 +521,42 @@ def build_static_features(
     window_years: int = 150,
     scale: str = "log10p1",
     reference_year: int = DEFAULT_REFERENCE_YEAR,
-    avg_age_mode: str = "lifespan",
 ) -> StaticFeatures:
-    """All feature columns except ``init_gdp`` for one snapshot year."""
+    """All feature columns except ``init_gdp`` for one snapshot year.
+
+    Reads the dataset's record index: the records born in
+    ``[year - window_years, year]`` are HPI-weighted (``hpi_weight``, once
+    per record and year) and counted per location and occupation with
+    ``np.bincount`` over the four flow masks.  Every column except the SVD
+    factors is bit-identical to the per-record reference ``assign_flows``
+    + ``flow_counts`` + ``avg_age`` + ``linearize``; ``avg_age`` is the
+    mean lifespan of a location's members with a death year, imputed with
+    the mean over all located members and flagged where there is none.
+    """
+    if window_years <= 0:
+        raise ValidationError(f"window_years must be positive, got {window_years}")
+    index = dataset.record_index
     locations = dataset.locations
     occupations = tuple(dataset.occupations)
-    flows = assign_flows(dataset.records, locations, year, window_years)
-    if not any(flows.flow(f) for f in FLOWS):
+    window = np.flatnonzero(
+        (index.birth_year >= year - window_years) & (index.birth_year <= year)
+    )
+    weights = np.array(
+        [hpi_weight(index.records[i], reference_year) for i in window], dtype=float
+    )
+    counted = {
+        level: _index_counts(index, level, window, weights, occupations) for level in LEVELS
+    }
+    tensors = {level: tensor for level, (tensor, _sum, _n) in counted.items()}
+    if not any(t.unweighted[f].any() for t in tensors.values() for f in FLOWS):
         raise ValidationError(f"no individuals in the {window_years}-year window before {year}")
 
-    weights = {r.person_id: hpi_weight(r, reference_year) for r in dataset.records}
-    tensors = {
-        level: flow_counts(
-            flows, dataset.by_person, locations, level, occupations,
-            reference_year=reference_year, weights=weights,
-        )
-        for level in ("country", "region")
-    }
+    # every located member has a country row, so the country level holds them all
+    lifespan = index.lifespan[window]
+    located = ~np.isnan(lifespan) & (
+        (index.birth_row["country"][window] >= 0) | (index.death_row["country"][window] >= 0)
+    )
+    global_age = float(np.mean(lifespan[located])) if located.any() else 0.0
 
     supra_regions = locations.supranational_regions()
     columns = []
@@ -487,94 +571,38 @@ def build_static_features(
     columns.extend(f"dummy.{supra}" for supra in supra_regions)
     columns.append("avg_age")
 
-    # per-level derived blocks
-    eci_values: dict[tuple, dict] = {}
-    for level in ("country", "region"):
-        tensor = tensors[level]
+    row_keys, level_values, age_flagged = [], [], []
+    for level in LEVELS:
+        tensor, span_sum, span_n = counted[level]
+        n_loc = len(tensor.location_ids)
+        blocks = []
         for flow in FLOWS:
-            mapping: dict[str, float] = {}
-            if tensor.weighted[flow].any():
-                rca = rca_matrix(tensor, flow)
-                result = eci(rca.matrix)
-                for lid, value in zip(rca.matrix.row_labels, result.eci):
-                    mapping[lid] = float(value)
-            eci_values[(level, flow)] = mapping
-
-    factor_blocks = {
-        (level, flow): svd_factors(tensors[level], flow)
-        for level in ("country", "region")
-        for flow in FLOWS
-    }
-    diversity_blocks = {
-        (level, flow): diversity(tensors[level], flow)
-        for level in ("country", "region")
-        for flow in FLOWS
-    }
-    ubiquity_blocks = {
-        (level, flow): avg_ubiquity(tensors[level], flow)
-        for level in ("country", "region")
-        for flow in FLOWS
-    }
-    if avg_age_mode == "lifespan":
-        ages, age_flagged = avg_age(flows, dataset.by_person, locations)
-    elif avg_age_mode == "snapshot_age":
-        ages, age_flagged = _snapshot_ages(flows, dataset.by_person, locations, year)
-    else:
-        raise ValidationError(f"unknown avg_age mode '{avg_age_mode}'")
-
-    row_keys = []
-    rows = []
-    for level in ("country", "region"):
-        tensor = tensors[level]
-        for lid in tensor.location_ids:
-            i = tensor.row(lid)
-            row = []
-            for flow in FLOWS:
-                w = tensor.weighted[flow][i]
-                row.append(linearize(float(w.sum()), scale))
-                row.extend(linearize(float(v), scale) for v in w)
-            for flow in FLOWS:
-                row.append(float(diversity_blocks[(level, flow)][i]))
-            for flow in FLOWS:
-                row.append(float(ubiquity_blocks[(level, flow)][i]))
-            for flow in FLOWS:
-                row.append(eci_values[(level, flow)].get(lid, 0.0))
-            for flow in FLOWS:
-                row.extend(float(v) for v in factor_blocks[(level, flow)][i])
-            supra = locations.supra_of(lid)
-            row.extend(1.0 if supra == s else 0.0 for s in supra_regions)
-            row.append(ages[lid])
-            row_keys.append((lid, year))
-            rows.append(row)
+            w = tensor.weighted[flow]
+            blocks.append(_linearized(w.sum(axis=1), scale)[:, None])
+            blocks.append(_linearized(w, scale))
+        blocks.append(np.column_stack([diversity(tensor, f) for f in FLOWS]))
+        blocks.append(np.column_stack([avg_ubiquity(tensor, f) for f in FLOWS]))
+        blocks.append(np.column_stack([_eci_column(tensor, f) for f in FLOWS]))
+        blocks.extend(svd_factors(tensor, f) for f in FLOWS)
+        supra = [locations.supra_of(lid) for lid in tensor.location_ids]
+        blocks.append(
+            np.array([[s == r for r in supra_regions] for s in supra], dtype=float)
+            .reshape(n_loc, len(supra_regions))
+        )
+        ages = np.where(span_n > 0, span_sum / np.maximum(span_n, 1), global_age)
+        blocks.append(ages[:, None])
+        level_values.append(np.hstack(blocks))
+        row_keys.extend((lid, year) for lid in tensor.location_ids)
+        age_flagged.extend(lid for lid, n in zip(tensor.location_ids, span_n) if n == 0)
 
     matrix = FeatureMatrix(
         row_keys=tuple(row_keys),
         columns=tuple(columns),
-        values=np.array(rows, dtype=float),
+        values=np.vstack(level_values),
         scale=scale,
-        flags={f"avg_age_imputed_{year}": age_flagged},
+        flags={f"avg_age_imputed_{year}": tuple(sorted(age_flagged))},
     )
-    return StaticFeatures(matrix=matrix, tensors=tensors, flows=flows)
-
-
-def _snapshot_ages(flows, records_by_id, locations, year):
-    # alternative reading of "average age": age at the snapshot year
-    values = {}
-    flagged = []
-    pool = []
-    per_loc = {}
-    for lid in locations.ids():
-        ages = [year - records_by_id[pid].birth_year for pid in sorted(flows.members(lid))]
-        per_loc[lid] = ages
-        pool.extend(ages)
-    global_mean = float(np.mean(pool)) if pool else 0.0
-    for lid, ages in per_loc.items():
-        if ages:
-            values[lid] = float(np.mean(ages))
-        else:
-            values[lid] = global_mean
-            flagged.append(lid)
-    return values, tuple(flagged)
+    return StaticFeatures(matrix=matrix, tensors=tensors)
 
 
 def attach_initial_gdp(

@@ -1,10 +1,11 @@
-"""Self-contained linear algebra and statistics kernel.
+"""Numpy-only linear algebra and statistics kernel.
 
 Everything downstream (feature construction, penalized regression, the
-estimation pipeline, evaluation) builds on the routines here: a one-sided
-Jacobi SVD, least squares through the SVD pseudo-inverse, column
-standardization, interpolated quantiles, the Kruskal-Wallis rank test with
-its chi-square survival function, and the two fit metrics used throughout.
+estimation pipeline, evaluation) builds on the routines here: the thin SVD
+(LAPACK through ``np.linalg.svd``, with a fixed sign convention), least
+squares through the SVD pseudo-inverse, column standardization,
+interpolated quantiles, the Kruskal-Wallis rank test with its chi-square
+survival function, and the two fit metrics used throughout.
 
 All functions are pure; none mutate their inputs.
 """
@@ -17,13 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-
-# One-sided Jacobi settings: matrices in this package are small
-# (hundreds of rows by tens of columns), so a plain sweep strategy with a
-# tight rotation tolerance is both simple and accurate.
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TOL = 1e-12
-
 
 def _as_array(m) -> np.ndarray:
     values = m.values if isinstance(m, Matrix) else np.asarray(m, dtype=float)
@@ -69,9 +63,11 @@ class Matrix:
 class SvdResult:
     """Thin SVD: ``a = u @ diag(s) @ v.T`` with ``r = min(rows, cols)``.
 
-    Columns of ``u`` and ``v`` are orthonormal, ``s`` is non-negative and
-    descending.  Sign convention: the largest-magnitude entry of each
-    ``u`` column is positive.
+    Columns of ``u`` and ``v`` are orthonormal, also for rank-deficient
+    inputs; ``s`` is non-negative and descending.  Sign convention, for
+    tall and wide inputs alike: the largest-magnitude entry of each ``u``
+    column (the first on ties) is positive, and the matching ``v`` column
+    is flipped with it.
     """
 
     u: np.ndarray
@@ -80,103 +76,32 @@ class SvdResult:
 
 
 def svd(m, name: str = "matrix") -> SvdResult:
-    """One-sided Jacobi singular value decomposition.
-
-    Orthogonalizes the columns of the input by plane rotations; singular
-    values are the resulting column norms.  Deterministic up to the sign
-    convention fixed below.
+    """Thin singular value decomposition by LAPACK (``np.linalg.svd``).
 
     Raises
     ------
     ValidationError
         If the input is empty or contains non-finite values.
     NumericalError
-        If rotations have not converged after the sweep cap.
+        If LAPACK reports that the decomposition did not converge.
     """
     a = _as_array(m)
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValidationError(f"{name}: cannot decompose an empty matrix")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name}: non-finite values in SVD input")
-
-    transposed = a.shape[0] < a.shape[1]
-    w = (a.T if transposed else a).copy()
-    n = w.shape[1]
-    v = np.eye(n)
-
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                wp = w[:, p]
-                wq = w[:, q]
-                app = float(wp @ wp)
-                aqq = float(wq @ wq)
-                apq = float(wp @ wq)
-                # sqrt factors kept separate so the product cannot underflow
-                if apq == 0.0 or abs(apq) <= _JACOBI_TOL * math.sqrt(app) * math.sqrt(aqq):
-                    continue
-                zeta = (aqq - app) / (2.0 * apq)
-                if math.isfinite(zeta):
-                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                else:
-                    t = 0.0  # rotation angle below floating-point resolution
-                cs = 1.0 / math.hypot(1.0, t)
-                sn = cs * t
-                if sn == 0.0:
-                    continue
-                rotated = True
-                w[:, p], w[:, q] = cs * wp - sn * wq, sn * wp + cs * wq
-                vp = v[:, p].copy()
-                v[:, p] = cs * vp - sn * v[:, q]
-                v[:, q] = sn * vp + cs * v[:, q]
-        if not rotated:
-            converged = True
-            break
-    if not converged:
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as err:
         raise NumericalError(
-            f"{name}: one-sided Jacobi SVD did not converge within "
-            f"{_JACOBI_MAX_SWEEPS} sweeps on a {a.shape[0]}x{a.shape[1]} matrix"
-        )
-
-    s = np.sqrt(np.sum(w * w, axis=0))
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    u = np.zeros_like(w)
-    nonzero = s > 0
-    u[:, nonzero] = w[:, nonzero] / s[nonzero]
-    # Complete zero-norm columns to an orthonormal basis so U'U = I holds
-    # even for rank-deficient inputs (the reconstruction is unaffected).
-    for j in np.flatnonzero(~nonzero):
-        u[:, j] = _orthonormal_completion(u, j)
-
-    # Sign convention: largest-magnitude entry of each u column positive.
-    for j in range(u.shape[1]):
-        k = int(np.argmax(np.abs(u[:, j])))
-        if u[k, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-
-    if transposed:
-        u, v = v, u
+            f"{name}: SVD did not converge on a {a.shape[0]}x{a.shape[1]} matrix ({err})"
+        ) from err
+    v = vt.T
+    cols = np.arange(u.shape[1])
+    flip = u[np.argmax(np.abs(u), axis=0), cols] < 0
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
     return SvdResult(u=u, s=s, v=v)
-
-
-def _orthonormal_completion(u: np.ndarray, col: int) -> np.ndarray:
-    # Gram-Schmidt a standard basis vector against the existing columns.
-    m = u.shape[0]
-    for k in range(m):
-        cand = np.zeros(m)
-        cand[k] = 1.0
-        cand -= u @ (u.T @ cand)
-        norm = float(np.linalg.norm(cand))
-        if norm > 1e-8:
-            return cand / norm
-    raise NumericalError("could not complete orthonormal basis")
 
 
 @dataclass(frozen=True)

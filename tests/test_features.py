@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from histgdp.data_ingest import (
+    FLOWS,
+    LEVELS,
     BiographyRecord,
     Dataset,
     Location,
@@ -449,3 +451,132 @@ class TestBuildFeatureMatrix:
         # both are transforms of the same underlying count
         count = 10.0 ** log_fm.values[at, col] - 1.0
         assert as_fm.values[at, col] == pytest.approx(math.asinh(count))
+
+
+def reference_static_matrix(year, dataset, window_years, scale, reference_year):
+    """The static feature matrix built record by record: per-record flow
+    sets, per-member count and lifespan loops, and ``linearize`` per entry."""
+    locations = dataset.locations
+    flows = assign_flows(dataset.records, locations, year, window_years)
+    tensors = {
+        level: flow_counts(flows, dataset.by_person, locations, level, dataset.occupations,
+                           reference_year=reference_year)
+        for level in LEVELS
+    }
+    ages, flagged = avg_age(flows, dataset.by_person, locations)
+    supra_regions = locations.supranational_regions()
+    rows, keys = [], []
+    for level in LEVELS:
+        t = tensors[level]
+        eci_values = {}
+        for flow in FLOWS:
+            if t.weighted[flow].any():
+                rca = rca_matrix(t, flow)
+                eci_values[flow] = dict(zip(rca.matrix.row_labels, eci(rca.matrix).eci))
+        for i, lid in enumerate(t.location_ids):
+            row = []
+            for flow in FLOWS:
+                w = t.weighted[flow][i]
+                row.append(linearize(float(w.sum()), scale))
+                row.extend(linearize(float(v), scale) for v in w)
+            row.extend(float(diversity(t, flow)[i]) for flow in FLOWS)
+            row.extend(float(avg_ubiquity(t, flow)[i]) for flow in FLOWS)
+            row.extend(float(eci_values.get(flow, {}).get(lid, 0.0)) for flow in FLOWS)
+            for flow in FLOWS:
+                row.extend(float(v) for v in svd_factors(t, flow)[i])
+            row.extend(1.0 if locations.supra_of(lid) == s else 0.0 for s in supra_regions)
+            row.append(ages[lid])
+            rows.append(row)
+            keys.append((lid, year))
+    return tuple(keys), np.array(rows, dtype=float), tensors, flagged
+
+
+@pytest.fixture
+def handcrafted_dataset():
+    locations = LocationTable([
+        Location("AT", "Austria", "country", None, "Western Europe"),
+        Location("ES", "Spain", "country", None, "Southern Europe"),
+        Location("FR", "France", "country", None, "Western Europe"),
+        Location("PL", "Poland", "country", None, "Eastern Europe"),
+        Location("FR-1", "Paris", "region", "FR", ""),
+        Location("FR-2", "Lyon", "region", "FR", ""),
+        Location("PL-1", "Krakow", "region", "PL", ""),
+        Location("PL-2", "Gdansk", "region", "PL", ""),
+    ])
+    records = [
+        # migrant between regions of two countries: FR -> PL and FR-1 -> PL-1
+        rec("p01", 1700, "FR-1", "PL-1", death_year=1760, occupation="painter", views=900),
+        # regional migrant only: FR-1 -> FR-2 stays within FR
+        rec("p02", 1710, "FR-1", "FR-2", death_year=1781, occupation="lawyer", views=40),
+        # country-only record, a country-level migrant with no region rows
+        rec("p03", 1690, "AT", "PL", death_year=1755, occupation="priest", views=5000),
+        # missing death year: a birth that adds no lifespan
+        rec("p04", 1720, "FR-2", None, occupation="painter", views=70),
+        rec("p05", 1730, "PL-1", "FR-1", occupation="lawyer", views=300),
+        # zero HPI at reference year 1820 (age 25, young-age penalty)
+        rec("p06", 1795, "PL-1", "PL-1", death_year=1799, occupation="priest", views=1, langs=1),
+        rec("p07", 1705, "AT", "AT", death_year=1790, occupation="painter", views=12),
+        rec("p08", 1740, "FR-2", "AT", death_year=1801, occupation="priest", views=2500),
+        rec("p09", 1715, "PL", "FR-2", death_year=1770, occupation="lawyer", views=8),
+        rec("p10", 1760, "FR-1", "FR-1", death_year=1812, occupation="lawyer", views=66),
+        # unknown death location: resolves nowhere
+        rec("p11", 1725, "AT", "XX", death_year=1780, occupation="painter", views=150),
+        # born before the window
+        rec("p12", 1600, "ES", "ES", death_year=1650, occupation="painter", views=10),
+        # born on either edge of the 1800 window
+        rec("p13", 1650, "PL", "PL", death_year=1702, occupation="priest", views=30),
+        rec("p14", 1800, "AT", None, occupation="lawyer", views=20),
+        # resolves nowhere, so its lifespan stays out of the imputed mean
+        rec("p15", 1745, "XX", "YY", death_year=1900, occupation="painter", views=50),
+    ]
+    return Dataset(records=list(reversed(records)), locations=locations, gdp=[])
+
+
+class TestIndexedBuildMatchesReference:
+    @pytest.mark.parametrize("year,window,scale", [
+        (1800, 150, "log10p1"), (1800, 150, "asinh"), (1750, 60, "log10p1"),
+    ])
+    def test_matrix_byte_identical(self, handcrafted_dataset, year, window, scale):
+        ds = handcrafted_dataset
+        static = build_static_features(year, ds, window_years=window, scale=scale,
+                                       reference_year=1820)
+        keys, values, tensors, flagged = reference_static_matrix(year, ds, window, scale, 1820)
+        assert static.matrix.row_keys == keys
+        assert static.matrix.values.tobytes() == values.tobytes()
+        assert static.matrix.flags == {f"avg_age_imputed_{year}": flagged}
+        for level in LEVELS:
+            for flow in FLOWS:
+                assert static.tensors[level].weighted[flow].tobytes() == \
+                    tensors[level].weighted[flow].tobytes()
+                assert np.array_equal(static.tensors[level].unweighted[flow],
+                                      tensors[level].unweighted[flow])
+        for lid, _ in keys:
+            level = ds.locations.get(lid).level
+            t = tensors[level]
+            i = t.row(lid)
+            assert static.gate_counts(lid) == (int(t.unweighted_totals("births")[i]),
+                                               int(t.unweighted_totals("deaths")[i]))
+
+    def test_world_covers_the_edge_cases(self, handcrafted_dataset):
+        ds = handcrafted_dataset
+        flows = assign_flows(ds.records, ds.locations, 1800, 150)
+        assert {"p01", "p03"} <= flows.emigrants["FR"] | flows.emigrants["AT"]
+        assert "p01" in flows.immigrants["PL-1"] and "p02" in flows.immigrants["FR-2"]
+        assert "p02" not in flows.emigrants["FR"]  # a regional move only
+        assert "p03" not in flows.members("PL-1") | flows.members("PL-2")
+        assert hpi_weight(ds.by_person["p06"], 1820) == 0.0
+        assert ds.by_person["p04"].lifespan is None
+        static = build_static_features(1800, ds, reference_year=1820)
+        flagged = static.matrix.flags["avg_age_imputed_1800"]
+        assert flagged == ("ES", "PL-2")
+        assert static.gate_counts("ES") == (0, 0)
+
+    def test_unknown_gate_location_rejected(self, handcrafted_dataset):
+        static = build_static_features(1800, handcrafted_dataset)
+        with pytest.raises(ValidationError, match="XX"):
+            static.gate_counts("XX")
+
+    def test_duplicate_person_rejected(self, handcrafted_dataset):
+        records = handcrafted_dataset.records + [rec("p03", 1700, "AT", "AT")]
+        with pytest.raises(ValidationError, match="p03"):
+            Dataset(records=records, locations=handcrafted_dataset.locations, gdp=[])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from histgdp.errors import ValidationError
+from histgdp.errors import NumericalError, ValidationError
 from histgdp.numerics import (
     Matrix,
     chi2_sf,
@@ -96,6 +96,24 @@ class TestSvd:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             svd(np.array([[np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (4, 4)])
+    def test_sign_convention_any_shape(self, shape):
+        # the rule is on u for wide inputs too, with v flipped alongside
+        for seed in range(5):
+            a = np.random.default_rng(seed).normal(size=shape)
+            res = svd(a)
+            cols = np.arange(res.u.shape[1])
+            assert np.all(res.u[np.argmax(np.abs(res.u), axis=0), cols] > 0)
+            assert np.allclose(res.u @ np.diag(res.s) @ res.v.T, a, atol=1e-12)
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericalError, match="factors"):
+            svd(np.eye(3), name="factors")
 
 
 class TestOls:
