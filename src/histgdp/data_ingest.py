@@ -102,6 +102,10 @@ class LocationTable:
                 raise ValidationError(
                     f"country '{loc.location_id}' lacks a supranational region"
                 )
+        by_supra: dict[str, list[str]] = {}
+        for country in self.countries():
+            by_supra.setdefault(self._by_id[country].supranational_region, []).append(country)
+        self._countries_by_supra = {supra: tuple(ids) for supra, ids in by_supra.items()}
 
     def __contains__(self, location_id: str) -> bool:
         return location_id in self._by_id
@@ -142,7 +146,11 @@ class LocationTable:
         return country.supranational_region
 
     def supranational_regions(self) -> list[str]:
-        return sorted({self.supra_of(c) for c in self.countries()})
+        return sorted(self._countries_by_supra)
+
+    def countries_in(self, supra: str) -> tuple[str, ...]:
+        """Countries of one supranational region, sorted by id."""
+        return self._countries_by_supra.get(supra, ())
 
 
 @dataclass(frozen=True)

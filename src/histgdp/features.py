@@ -13,7 +13,9 @@ rows and region rows in one matrix would double-count every individual.
 ``build_static_features`` counts from the dataset's record index
 (``Dataset.record_index``) with array operations.  ``assign_flows``,
 ``flow_counts`` and ``avg_age`` compute the same counts record by record;
-they are the reference the vectorized build is tested against.
+they are the reference the vectorized build is tested against.  ``eci``
+takes the complexity indices in closed form from the LAPACK SVD that also
+gives the SVD factors, with a spectral certificate.
 
 Feature columns, in order:
 
@@ -40,7 +42,7 @@ import numpy as np
 # assign_flows is not called here; it is re-exported beside flow_counts and
 # avg_age, the per-record reference of build_static_features.
 from .data_ingest import FLOWS, LEVELS, FlowAssignment, LocationTable, assign_flows
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .numerics import Matrix, spearman, svd
 
 DEFAULT_REFERENCE_YEAR = 2023
@@ -209,72 +211,124 @@ def rca_matrix(counts: CountTensor, flow: str) -> RcaResult:
     )
 
 
+# Eigenvalues of the mutual-averaging map lie in [0, 1]; closer than this
+# they are one eigenvalue to rounding.  It is also the largest start-vector
+# component, relative to the start vector, that counts as zero.
+_ROUNDING = 1e-12
+
+# ECI blocks with a relative gap below this are reported as near-degenerate:
+# a perturbation e of the map can turn their direction by about e / gap, and
+# the mutual-averaging iteration needs over 2,000 rounds to settle it to 1e-9.
+NEAR_DEGENERATE_GAP = 0.01
+
+
 @dataclass(frozen=True)
 class EciResult:
+    """Complexity indices with their spectral certificate.
+
+    ``eigenvalue`` belongs to the returned ``eci`` vector ``x`` as an
+    eigenvector of ``W = D^-1 M U^-1 M'`` (lambda2, unless the start vector
+    is orthogonal to lambda2's eigenvectors); ``gap`` is its distance to the
+    nearest other eigenvalue below the trivial 1 (``lambda2 - lambda3``, 0
+    on ties); ``residual`` is ``max|W x - eigenvalue x|`` after removing the
+    mean, since ``x`` is z-scored and ``W`` maps constants to themselves.
+    All three are 0 for degenerate results.  ``iterations`` is always 0.
+    """
+
     eci: np.ndarray
     pci: np.ndarray
-    iterations: int
+    iterations: int = 0
     degenerate: bool = False
+    eigenvalue: float = 0.0
+    gap: float = 0.0
+    residual: float = 0.0
+
+    @property
+    def relative_gap(self) -> float:
+        """``gap / eigenvalue``; 0 for degenerate results."""
+        return self.gap / self.eigenvalue if self.eigenvalue > 0 else 0.0
 
 
 def _zscore(v: np.ndarray) -> np.ndarray:
-    sd = v.std()
+    centered = v - v.mean()
+    sd = np.sqrt(np.mean(centered * centered))
     if sd < 1e-12:
         return np.zeros_like(v)
-    return (v - v.mean()) / sd
+    return centered / sd
 
 
-def _ranks(v: np.ndarray) -> np.ndarray:
-    return np.argsort(np.argsort(v))
+def _merge_ties(v: np.ndarray) -> np.ndarray:
+    """``v`` with each run of sorted values less than 1e-9 apart replaced by
+    its mean: rows the map treats alike differ only by rounding, which must
+    not decide rank tests."""
+    order = np.argsort(v, kind="stable")
+    run = np.concatenate([[0], np.cumsum(np.diff(v[order]) > 1e-9)])
+    merged = np.empty_like(v)
+    merged[order] = (np.bincount(run, v[order]) / np.bincount(run))[run]
+    return merged
 
 
-def eci(m, max_iterations: int = 1000) -> EciResult:
-    """Complexity indices as the fixed point of the mutual-averaging map.
+def eci(m) -> EciResult:
+    """Complexity indices as an eigenvector of the mutual-averaging map.
 
     A location's complexity is the average complexity of the occupations
-    it is specialized in, and vice versa; the location vector is z-scored
-    every round.  Converged when the ranking is stable and the largest
-    value change falls below 1e-9.  The sign is fixed so complexity
-    correlates non-negatively with diversity.
+    it is specialized in, and vice versa.  Iterated from a start vector and
+    z-scored every round, that map converges to an eigenvector of
+    ``W = D^-1 M U^-1 M'`` (``D``, ``U``: diversity and ubiquity); this is
+    the method of reflections (Hidalgo & Hausmann 2009) read spectrally
+    (Mealy, Farmer & Teytelboym 2019).  The limit is computed in closed
+    form: ``W`` is similar to ``A A'`` with ``A = D^-1/2 M U^-1/2``, whose
+    trivial singular pair ``(sqrt(div), sqrt(ubiq)) / sqrt(N)`` (value 1)
+    is subtracted before one thin SVD, so a disconnected graph, where 1
+    repeats, needs no special case.  The start vector (diversity, else mean
+    ubiquity, else ``arange``) is projected onto the highest eigenspace it
+    is not orthogonal to, normally lambda2's; that fixes the sign, and on
+    exact ties the mixture, that the iteration reaches.  The location
+    vector is z-scored, the occupation vector is the z-scored mean over its
+    locations, and the sign makes complexity correlate non-negatively with
+    diversity.  Without such an eigenspace above 0 the result is
+    degenerate: all zeros.
     """
     mv = m.values if isinstance(m, Matrix) else np.asarray(m, dtype=float)
     rows, cols = mv.shape
     if rows < 2 or cols < 2:
-        return EciResult(
-            eci=np.zeros(rows), pci=np.zeros(cols), iterations=0, degenerate=True
-        )
+        return EciResult(eci=np.zeros(rows), pci=np.zeros(cols), degenerate=True)
     div = mv.sum(axis=1)
     ubiq = mv.sum(axis=0)
     if np.any(div <= 0) or np.any(ubiq <= 0):
         raise ValidationError("eci: drop all-zero rows/columns before calling")
 
-    # Start from diversity; when diversities tie everywhere fall back to
-    # mean ubiquity, then to a generic deterministic vector, so the
-    # iteration does not start exactly orthogonal to the answer.
-    loc = _zscore(div.astype(float))
-    if not loc.any():
-        loc = _zscore((mv @ ubiq) / div)
-    if not loc.any():
-        loc = _zscore(np.arange(rows, dtype=float))
-    for iteration in range(1, max_iterations + 1):
-        occ = (mv.T @ loc) / ubiq
-        nxt = _zscore((mv @ occ) / div)
-        if not nxt.any():
-            return EciResult(np.zeros(rows), np.zeros(cols), iteration, degenerate=True)
-        delta = float(np.max(np.abs(nxt - loc)))
-        # the rank test costs two sorts, so it waits for the value test
-        stable = delta < 1e-9 and np.array_equal(_ranks(nxt), _ranks(loc))
-        loc = nxt
-        if stable:
-            break
-    else:
-        raise NumericalError(f"eci did not converge within {max_iterations} iterations")
+    start = _zscore(div)
+    if not start.any():
+        start = _zscore((mv @ ubiq) / div)
+    if not start.any():
+        start = _zscore(np.arange(rows, dtype=float))
+    sqrt_div = np.sqrt(div)
+    trivial = np.outer(sqrt_div, np.sqrt(ubiq))
+    dec = svd(mv / trivial - trivial / div.sum(), name="eci")
+    lam = dec.s**2  # the last is 0: the deflation removes one rank
+    x0 = sqrt_div * start
+    coef = dec.u.T @ x0
+    live = np.flatnonzero((np.abs(coef) > _ROUNDING * np.linalg.norm(x0)) & (lam > _ROUNDING))
+    if live.size == 0:
+        return EciResult(eci=np.zeros(rows), pci=np.zeros(cols), degenerate=True)
+    k = live[0]
+    space = np.abs(lam - lam[k]) <= _ROUNDING
+    loc = _merge_ties(_zscore((dec.u[:, space] @ coef[space]) / sqrt_div))
 
-    pci = _zscore((mv.T @ loc) / ubiq)
+    occ = (mv.T @ loc) / ubiq
+    off = (mv @ occ) / div - lam[k] * loc
+    pci = _zscore(occ)
     if len(set(div.tolist())) > 1 and spearman(loc, div) < 0:
         loc = -loc
         pci = -pci
-    return EciResult(eci=loc, pci=pci, iterations=iteration)
+    return EciResult(
+        eci=loc,
+        pci=pci,
+        eigenvalue=float(lam[k]),
+        gap=float(np.min(np.abs(np.delete(lam, k) - lam[k]))),
+        residual=float(np.max(np.abs(off - off.mean()))),
+    )
 
 
 def svd_factors(counts: CountTensor, flow: str, n_factors: int = N_SVD_FACTORS) -> np.ndarray:
@@ -360,8 +414,8 @@ def initial_gdp(location_id, lag_year, source_levels, model_levels, locations: L
     supra = locations.supra_of(location_id)
     pool = [
         source_levels[(c, lag_year)]
-        for c in locations.countries()
-        if locations.supra_of(c) == supra and (c, lag_year) in source_levels
+        for c in locations.countries_in(supra)
+        if (c, lag_year) in source_levels
     ]
     if pool:
         return math.log10(float(np.mean(pool))), "supra_mean"
@@ -439,10 +493,12 @@ def stack_features(parts) -> FeatureMatrix:
 @dataclass(frozen=True)
 class StaticFeatures:
     """Label-independent features for one snapshot year, plus the count
-    tensors needed downstream for gating and population proxies."""
+    tensors needed downstream for gating and population proxies and the
+    ``EciResult`` (with its certificate) of every ECI block."""
 
     matrix: FeatureMatrix
     tensors: dict  # level -> CountTensor
+    eci_results: dict = field(default_factory=dict)  # (level, flow) -> EciResult
     _gates: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -506,11 +562,14 @@ def _index_counts(index, level: str, window: np.ndarray, weights: np.ndarray, oc
     return tensor, span_sum, np.bincount(members, minlength=n_loc)
 
 
-def _eci_column(tensor: CountTensor, flow: str) -> np.ndarray:
+def _eci_column(tensor: CountTensor, flow: str, results: dict) -> np.ndarray:
+    """One flow's ECI column, zero without counts; its ``EciResult`` goes
+    to ``results[(level, flow)]``."""
     out = np.zeros(len(tensor.location_ids))
     if tensor.weighted[flow].any():
         rca = rca_matrix(tensor, flow)
-        out[[tensor.row(lid) for lid in rca.matrix.row_labels]] = eci(rca.matrix).eci
+        result = results[(tensor.level, flow)] = eci(rca.matrix)
+        out[[tensor.row(lid) for lid in rca.matrix.row_labels]] = result.eci
     return out
 
 
@@ -532,6 +591,7 @@ def build_static_features(
     + ``flow_counts`` + ``avg_age`` + ``linearize``; ``avg_age`` is the
     mean lifespan of a location's members with a death year, imputed with
     the mean over all located members and flagged where there is none.
+    Every computed ECI block's result is kept in ``eci_results``.
     """
     if window_years <= 0:
         raise ValidationError(f"window_years must be positive, got {window_years}")
@@ -572,6 +632,7 @@ def build_static_features(
     columns.append("avg_age")
 
     row_keys, level_values, age_flagged = [], [], []
+    eci_results = {}
     for level in LEVELS:
         tensor, span_sum, span_n = counted[level]
         n_loc = len(tensor.location_ids)
@@ -582,7 +643,7 @@ def build_static_features(
             blocks.append(_linearized(w, scale))
         blocks.append(np.column_stack([diversity(tensor, f) for f in FLOWS]))
         blocks.append(np.column_stack([avg_ubiquity(tensor, f) for f in FLOWS]))
-        blocks.append(np.column_stack([_eci_column(tensor, f) for f in FLOWS]))
+        blocks.append(np.column_stack([_eci_column(tensor, f, eci_results) for f in FLOWS]))
         blocks.extend(svd_factors(tensor, f) for f in FLOWS)
         supra = [locations.supra_of(lid) for lid in tensor.location_ids]
         blocks.append(
@@ -602,7 +663,7 @@ def build_static_features(
         scale=scale,
         flags={f"avg_age_imputed_{year}": tuple(sorted(age_flagged))},
     )
-    return StaticFeatures(matrix=matrix, tensors=tensors)
+    return StaticFeatures(matrix=matrix, tensors=tensors, eci_results=eci_results)
 
 
 def attach_initial_gdp(

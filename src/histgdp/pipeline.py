@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .data_ingest import Dataset, LocationTable
+from .data_ingest import SNAPSHOT_YEARS, Dataset, LocationTable
 from .elasticnet import CvResult, EnModel, en_cv, en_fit, fit_centered
 from .errors import NumericalError, ValidationError
 from .features import (
+    NEAR_DEGENERATE_GAP,
     FeatureMatrix,
     attach_initial_gdp,
     build_static_features,
@@ -53,8 +54,7 @@ PERIODS = (
     Period("machine_age", 1851, 1950, (1900, 1950), 1850),
     Period("information_age", 2000, 2000, (2000,), 1950),
 )
-
-SNAPSHOT_YEARS = tuple(y for p in PERIODS for y in p.snapshots)
+# The snapshots of PERIODS are data_ingest.SNAPSHOT_YEARS, re-exported here.
 
 
 def period_of_year(year: int) -> Period:
@@ -589,6 +589,7 @@ def run_full(
             "kkt_violation": tpm.model.max_delta,
             "dropped_constant_columns": len(tpm.dropped_columns),
             "skipped_bootstrap_replicates": skipped,
+            "eci": _eci_report(statics),
         }
         completed.append(period.period_id)
 
@@ -613,6 +614,26 @@ def run_full(
         "rescale_audit": audit,
     }
     return RunResult(estimates=estimates, report=report)
+
+
+def _eci_report(statics: dict) -> dict:
+    """A period's ECI certificates: the smallest spectral gap, the largest
+    residual, and the ``[year, level, flow]`` blocks whose relative gap is
+    below ``NEAR_DEGENERATE_GAP``."""
+    blocks = [
+        (year, level, flow, cert)
+        for year, static in statics.items()
+        for (level, flow), cert in static.eci_results.items()
+    ]
+    return {
+        "min_gap": min(cert.gap for *_, cert in blocks),
+        "max_residual": max(cert.residual for *_, cert in blocks),
+        "near_degenerate": sorted(
+            [year, level, flow]
+            for year, level, flow, cert in blocks
+            if cert.relative_gap < NEAR_DEGENERATE_GAP
+        ),
+    }
 
 
 def audit_rescaling(estimates, locations: LocationTable, proxy_weights: dict) -> dict:

@@ -124,6 +124,13 @@ class TestLoadLocations:
         assert locations.regions_of("FR") == ["FR-1", "FR-2"]
         assert locations.supranational_regions() == ["Eastern Europe", "Western Europe"]
 
+    def test_countries_in_supranational_region(self, locations):
+        for supra in locations.supranational_regions():
+            assert list(locations.countries_in(supra)) == [
+                c for c in locations.countries() if locations.supra_of(c) == supra
+            ]
+        assert locations.countries_in("Atlantis") == ()
+
 
 class TestLoadGdp:
     def test_valid_row(self, tmp_path, locations):

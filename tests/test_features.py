@@ -15,6 +15,7 @@ from histgdp.data_ingest import (
 )
 from histgdp.errors import ValidationError
 from histgdp.features import (
+    NEAR_DEGENERATE_GAP,
     CountTensor,
     attach_initial_gdp,
     avg_age,
@@ -32,6 +33,9 @@ from histgdp.features import (
     stack_features,
     svd_factors,
 )
+from histgdp.numerics import spearman
+from histgdp.pipeline import PERIODS
+from histgdp.synthetic import make_synthetic_world
 
 
 def rec(pid, birth_year, birth_loc, death_loc, death_year=None, occupation="painter",
@@ -580,3 +584,125 @@ class TestIndexedBuildMatchesReference:
         records = handcrafted_dataset.records + [rec("p03", 1700, "AT", "AT")]
         with pytest.raises(ValidationError, match="p03"):
             Dataset(records=records, locations=handcrafted_dataset.locations, gdp=[])
+
+
+def eigh_reference(m):
+    """ECI from a dense eigendecomposition of ``D^-1/2 M U^-1 M' D^-1/2``,
+    under eci's rules: the sign that projects positively on the start
+    vector (diversity, z-scored), the z-score, and the diversity sign flip
+    (ranks taken on values rounded to 9 decimals, so rounding cannot
+    decide them)."""
+    div, ubiq = m.sum(axis=1), m.sum(axis=0)
+    a = m / np.sqrt(np.outer(div, ubiq))
+    vals, vecs = np.linalg.eigh(a @ a.T)
+    start = (div - div.mean()) / div.std()
+    y = vecs[:, -2] * np.sign(vecs[:, -2] @ (np.sqrt(div) * start))
+    x = y / np.sqrt(div)
+    x = (x - x.mean()) / x.std()
+    if spearman(np.round(x, 9), div) < 0:
+        x = -x
+    return x, vals[-2], vals[-2] - vals[-3]
+
+
+@pytest.fixture(scope="module")
+def statics_2020():
+    """Static features of every snapshot year of a 40-country world with
+    2 regions per country; its ECI iteration did not converge."""
+    world = make_synthetic_world(40, 10, seed=2020, n_regions_per_country=2)
+    years = [y for p in PERIODS for y in p.snapshots if p.period_id in world.periods]
+    return {year: build_static_features(year, world.dataset) for year in years}
+
+
+class TestEciClosedForm:
+    @pytest.mark.parametrize("regions", [0, 2])
+    @pytest.mark.parametrize("seed", range(2020, 2030))
+    def test_synthetic_worlds_build(self, seed, regions):
+        world = make_synthetic_world(40, 10, seed=seed, n_regions_per_country=regions)
+        assert all(math.isfinite(v) for v in world.observed_log_gdp.values())
+
+    def test_matches_dense_eigh_reference(self, statics_2020):
+        checked = 0
+        for static in statics_2020.values():
+            for level, tensor in static.tensors.items():
+                for flow in FLOWS:
+                    if not tensor.weighted[flow].any():
+                        continue
+                    m = rca_matrix(tensor, flow).matrix.values
+                    ref, lam2, gap = eigh_reference(m)
+                    res = eci(m)
+                    assert not res.degenerate
+                    assert np.max(np.abs(res.eci - ref)) <= 1e-9
+                    assert res.eigenvalue == pytest.approx(lam2, abs=1e-12)
+                    assert res.gap == pytest.approx(gap, abs=1e-12)
+                    checked += 1
+        assert checked >= 12 * 2 * 3
+
+    def test_certificates(self, statics_2020):
+        for static in statics_2020.values():
+            with_counts = {
+                (level, flow)
+                for level, tensor in static.tensors.items()
+                for flow in FLOWS
+                if tensor.weighted[flow].any()
+            }
+            assert set(static.eci_results) == with_counts
+            for result in static.eci_results.values():
+                assert math.isfinite(result.gap) and result.gap > 0.0
+                assert math.isfinite(result.residual) and result.residual <= 1e-10
+                assert 0.0 < result.relative_gap <= 1.0
+
+    def test_disconnected_graph_returns_start_projection(self):
+        # Three components: rows {0, 1} x cols {0, 1}, rows {2, 3} x col 2,
+        # rows {4, 5, 6} x cols {3, 4, 5}; diversities 1 2 | 1 1 | 3 1 1.
+        m = np.zeros((7, 6))
+        m[0, 0] = m[1, 0] = m[1, 1] = 1.0
+        m[2, 2] = m[3, 2] = 1.0
+        m[4, 3] = m[4, 4] = m[4, 5] = m[5, 3] = m[6, 4] = 1.0
+        # Eigenvalue 1 repeats three times; its eigenvectors are constant on
+        # each component.  The iteration keeps the start vector's projection
+        # there (D-orthogonal: per component, the diversity-weighted mean of
+        # the start vector) and loses the rest.  The start vector is the
+        # z-scored diversity, and the z-score at the end removes its affine
+        # map, so the per-component values are sum(div^2) / sum(div).
+        per_row = np.array([5 / 3, 5 / 3, 2 / 2, 2 / 2, 11 / 5, 11 / 5, 11 / 5])
+        expected = (per_row - per_row.mean()) / per_row.std()
+        res = eci(m)
+        assert not res.degenerate
+        assert np.max(np.abs(res.eci - expected)) <= 1e-12
+        assert res.eigenvalue == pytest.approx(1.0, abs=1e-12)
+        assert res.gap <= 1e-12 and res.relative_gap <= 1e-12
+        assert res.residual <= 1e-10
+
+    def test_rounding_does_not_decide_the_sign(self):
+        # Row 0 is one component, rows 1 and 2 another.  The limit is the
+        # diversity-weighted mean of the start vector per component,
+        # (2, 2.5, 2.5); its Spearman correlation with diversity (2, 1, 3)
+        # is exactly 0, so the sign stays the start vector's.
+        m = np.array([[1, 0, 0, 1, 0], [0, 1, 0, 0, 0], [0, 1, 1, 0, 1]], dtype=float)
+        res = eci(m)
+        assert res.eci[1] == res.eci[2]
+        assert np.max(np.abs(res.eci - np.array([-2.0, 1.0, 1.0]) / math.sqrt(2))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_mutual_averaging_limit(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        m = (rng.random((12, 8)) < 0.45).astype(float)
+        m[m.sum(axis=1) == 0, 0] = 1.0
+        m[0, m.sum(axis=0) == 0] = 1.0
+        div, ubiq = m.sum(axis=1), m.sum(axis=0)
+
+        def zscore(v):
+            return (v - v.mean()) / v.std()
+
+        loc = zscore(div)
+        for _ in range(20000):
+            nxt = zscore((m @ ((m.T @ loc) / ubiq)) / div)
+            done = np.max(np.abs(nxt - loc)) < 1e-14
+            loc = nxt
+            if done:
+                break
+        if spearman(np.round(loc, 9), div) < 0:
+            loc = -loc
+        res = eci(m)
+        assert res.relative_gap > NEAR_DEGENERATE_GAP
+        assert np.max(np.abs(res.eci - loc)) <= 1e-9

@@ -348,3 +348,46 @@ class TestWriters:
         )
         assert len(lines) == len(small_run.estimates) + 1
         assert all(line.count(",") == 8 for line in lines)
+
+
+def test_period_snapshots_are_the_ingest_snapshot_years():
+    from histgdp import data_ingest
+
+    assert tuple(y for p in PERIODS for y in p.snapshots) == data_ingest.SNAPSHOT_YEARS
+    assert SNAPSHOT_YEARS is data_ingest.SNAPSHOT_YEARS
+
+
+class TestRunReportEci:
+    def test_every_fitted_period_reports_its_eci_certificates(
+        self, small_world, small_config, small_run
+    ):
+        from histgdp.data_ingest import FLOWS, LEVELS
+        from histgdp.features import NEAR_DEGENERATE_GAP, build_static_features
+
+        fitted = {k: e for k, e in small_run.report["periods"].items() if "skipped" not in e}
+        assert fitted
+        for period in PERIODS:
+            if period.period_id not in fitted:
+                continue
+            entry = fitted[period.period_id]["eci"]
+            certs = [
+                (year, level, flow, cert)
+                for year in period.snapshots
+                for (level, flow), cert in build_static_features(
+                    year,
+                    small_world.dataset,
+                    window_years=small_config.window_years,
+                    scale=small_config.scale,
+                    reference_year=small_config.reference_year_for_age,
+                ).eci_results.items()
+            ]
+            assert entry == {
+                "min_gap": min(c.gap for *_, c in certs),
+                "max_residual": max(c.residual for *_, c in certs),
+                "near_degenerate": sorted(
+                    [y, lv, f] for y, lv, f, c in certs if c.relative_gap < NEAR_DEGENERATE_GAP
+                ),
+            }
+            assert 0.0 <= entry["min_gap"] and entry["max_residual"] <= 1e-10
+            for year, level, flow in entry["near_degenerate"]:
+                assert year in period.snapshots and level in LEVELS and flow in FLOWS
