@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .config import config_from_sources
+from .config import CHOICES, RunConfig, config_from_sources
 from .data_ingest import load_dataset, write_rejects_report
 from .errors import HistGdpError, InputError
 from .evaluation import (
@@ -57,69 +58,49 @@ def _parse_thresholds(text):
     return tuple(pairs)
 
 
+# fields whose flag text is not parsed by the type of their default
+_FLAG_PARSERS = {
+    "alpha_grid": (_parse_alpha_grid, "A1,A2,..."),
+    "gating_thresholds": (_parse_thresholds, "YEAR:T,YEAR:T,..."),
+}
+
+
+def _add_config_flags(p):
+    """One flag per RunConfig field; unset flags stay None."""
+    p.add_argument("--config", help="JSON config file (flat keys mirror the flags)")
+    for f in fields(RunConfig):
+        default_type = str if f.default is None else type(f.default)
+        parse, metavar = _FLAG_PARSERS.get(f.name, (default_type, None))
+        p.add_argument(
+            "--" + f.name.replace("_", "-"),
+            dest=f.name,
+            type=parse,
+            metavar=metavar,
+            choices=CHOICES.get(f.name),
+            help=f.metadata.get("help"),
+        )
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="histgdp", description=__doc__)
     parser.add_argument("--version", action="version", version=f"histgdp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file (flat keys mirror the flags)")
-        p.add_argument("--biographies", help="biographies.csv path")
-        p.add_argument("--locations", help="locations.csv path")
-        p.add_argument("--gdp", help="gdp.csv path")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--window-years", dest="window_years", type=int)
-        p.add_argument("--scale", choices=("log10p1", "asinh"))
-        p.add_argument("--alpha-grid", dest="alpha_grid", type=_parse_alpha_grid,
-                       metavar="A1,A2,...")
-        p.add_argument("--n-lambda", dest="n_lambda", type=int)
-        p.add_argument("--lambda-ratio", dest="lambda_ratio", type=float)
-        p.add_argument("--k-folds", dest="k_folds", type=int)
-        p.add_argument("--n-splits", dest="n_splits", type=int)
-        p.add_argument("--test-fraction", dest="test_fraction", type=float)
-        p.add_argument("--bootstrap-samples", dest="bootstrap_samples", type=int)
-        p.add_argument("--ci-level", dest="ci_level", type=float)
-        p.add_argument("--gating-rule", dest="gating_rule",
-                       choices=("both", "either", "sum"))
-        p.add_argument("--gating-thresholds", dest="gating_thresholds",
-                       type=_parse_thresholds, metavar="YEAR:T,YEAR:T,...")
-        p.add_argument("--reference-year-for-age", dest="reference_year_for_age", type=int)
-        p.add_argument("--cv-selection-rule", dest="cv_selection_rule",
-                       choices=("min_mean", "fold_average"))
-        p.add_argument("--bootstrap-unit", dest="bootstrap_unit",
-                       choices=("row", "country"))
-        p.add_argument("--min-birth-year", dest="min_birth_year", type=int)
-        p.add_argument("--max-reject-fraction", dest="max_reject_fraction", type=float)
-        return p
-
-    add_common(sub.add_parser("validate", help="ingest inputs and report data quality"))
-    add_common(sub.add_parser("features", help="export feature_matrix_<year>.csv files"))
-    add_common(sub.add_parser("estimate", help="produce estimates.csv and run_report.json"))
-    add_common(sub.add_parser("evaluate", help="run the held-out-country protocol"))
-    add_common(sub.add_parser("explain", help="export Shapley attributions per period"))
-    correlate = add_common(sub.add_parser("correlate", help="correlate estimates with a proxy"))
-    correlate.add_argument("--proxies", help="proxy CSV (location_id,year,value)")
+    _add_config_flags(sub.add_parser("validate", help="ingest inputs and report data quality"))
+    _add_config_flags(sub.add_parser("features", help="export feature_matrix_<year>.csv files"))
+    _add_config_flags(sub.add_parser("estimate", help="produce estimates.csv and run_report.json"))
+    _add_config_flags(sub.add_parser("evaluate", help="run the held-out-country protocol"))
+    _add_config_flags(sub.add_parser("explain", help="export Shapley attributions per period"))
+    correlate = _add_config_flags(
+        sub.add_parser("correlate", help="correlate estimates with a proxy")
+    )
     correlate.add_argument("--estimates", help="estimates.csv from a prior run")
     correlate.add_argument("--transform", choices=("none", "log10"), default=None)
     return parser
 
 
-_CONFIG_KEYS = (
-    "biographies", "locations", "gdp", "output_dir", "seed", "threads",
-    "window_years", "scale", "alpha_grid", "n_lambda", "lambda_ratio",
-    "k_folds", "n_splits", "test_fraction", "bootstrap_samples", "ci_level",
-    "gating_rule", "gating_thresholds", "reference_year_for_age",
-    "cv_selection_rule", "bootstrap_unit", "min_birth_year",
-    "max_reject_fraction", "proxies",
-)
-
-
 def _resolve_config(args):
-    overrides = {
-        key: getattr(args, key) for key in _CONFIG_KEYS if getattr(args, key, None) is not None
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     return config_from_sources(args.config, overrides)
 
 
@@ -233,12 +214,11 @@ def cmd_explain(config) -> int:
 
 def cmd_correlate(config, args) -> int:
     out = _outdir(config)
-    proxies = args.proxies or config.proxies
-    if proxies is None:
+    if config.proxies is None:
         raise InputError("correlate needs --proxies")
     estimates_path = args.estimates or (out / "estimates.csv")
     estimates = read_estimates_csv(estimates_path)
-    rows = load_proxy_csv(proxies)
+    rows = load_proxy_csv(config.proxies)
     transform = args.transform or "log10"
     res = proxy_correlation(estimates, rows, transform=transform)
     doc = {

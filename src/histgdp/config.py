@@ -7,7 +7,7 @@ echoed into every run report so a run can be reproduced from its outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import InputError, ValidationError
@@ -15,18 +15,38 @@ from .errors import InputError, ValidationError
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_GATING_THRESHOLDS = ((1600, 3), (1950, 5), (2000, 10))
 
+# A location-year passes the gate when its unweighted birth and death
+# counts satisfy the rule's predicate against the year's threshold.
+GATING_RULES = {
+    "both": lambda births, deaths, t: births >= t and deaths >= t,
+    "either": lambda births, deaths, t: births >= t or deaths >= t,
+    "sum": lambda births, deaths, t: births + deaths >= t,
+}
+
+# The allowed values of every enumerated setting.
+CHOICES = {
+    "scale": ("log10p1", "asinh"),
+    "cv_selection_rule": ("min_mean", "fold_average"),
+    "bootstrap_unit": ("row", "country"),
+    "gating_rule": tuple(GATING_RULES),
+}
+
 
 @dataclass
 class RunConfig:
+    """Every run setting; each field is also a config key and a flag."""
+
     # input/output paths
-    biographies: str | None = None
-    locations: str | None = None
-    gdp: str | None = None
-    proxies: str | None = None
+    biographies: str | None = field(default=None, metadata={"help": "biographies.csv path"})
+    locations: str | None = field(default=None, metadata={"help": "locations.csv path"})
+    gdp: str | None = field(default=None, metadata={"help": "gdp.csv path"})
+    proxies: str | None = field(
+        default=None, metadata={"help": "proxy CSV (location_id,year,value)"}
+    )
     output_dir: str = "."
     # feature construction
     window_years: int = 150
-    scale: str = "log10p1"  # log10p1 | asinh
+    scale: str = "log10p1"
     reference_year_for_age: int = 2023
     min_birth_year: int = 1100
     max_reject_fraction: float = 0.10
@@ -35,16 +55,16 @@ class RunConfig:
     n_lambda: int = 100
     lambda_ratio: float = 1e-4
     k_folds: int = 10
-    cv_selection_rule: str = "min_mean"  # min_mean | fold_average
+    cv_selection_rule: str = "min_mean"
     # evaluation
     n_splits: int = 500
     test_fraction: float = 0.2
     # bootstrap
     bootstrap_samples: int = 200
     ci_level: float = 0.90
-    bootstrap_unit: str = "row"  # row | country
+    bootstrap_unit: str = "row"
     # gating
-    gating_rule: str = "both"  # both | either | sum
+    gating_rule: str = "both"
     gating_thresholds: tuple = DEFAULT_GATING_THRESHOLDS
     # reproducibility
     seed: int = 0
@@ -55,14 +75,9 @@ class RunConfig:
         self.gating_thresholds = tuple(
             (int(y), int(t)) for y, t in self.gating_thresholds
         )
-        if self.scale not in ("log10p1", "asinh"):
-            raise ValidationError(f"unknown scale '{self.scale}'")
-        if self.cv_selection_rule not in ("min_mean", "fold_average"):
-            raise ValidationError(f"unknown cv_selection_rule '{self.cv_selection_rule}'")
-        if self.bootstrap_unit not in ("row", "country"):
-            raise ValidationError(f"unknown bootstrap_unit '{self.bootstrap_unit}'")
-        if self.gating_rule not in ("both", "either", "sum"):
-            raise ValidationError(f"unknown gating_rule '{self.gating_rule}'")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValidationError(f"unknown {name} '{getattr(self, name)}'")
         if not 0.0 < self.ci_level < 1.0:
             raise ValidationError(f"ci_level must lie in (0, 1), got {self.ci_level}")
         if not all(0.0 <= a <= 1.0 for a in self.alpha_grid):

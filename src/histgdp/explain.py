@@ -58,6 +58,29 @@ def _align(values, names, wanted):
     return values[:, cols]
 
 
+def _linear_attributions(model: EnModel, keys, rows, background) -> list[Attribution]:
+    """Closed-form attributions of raw-scale ``rows`` (aligned with the
+    model's features), one per key, against ``background``'s mean."""
+    bg_values, bg_names = _columns(background)
+    if bg_values.shape[0] < 1:
+        raise ValidationError("background must contain at least one row")
+    bg = _align(bg_values, bg_names, model.feature_names)
+    bg_std_mean = ((bg - model.means) / model.sds).mean(axis=0)
+    x_std = (rows - model.means) / model.sds
+    phi = model.coefficients * (x_std - bg_std_mean)
+    base = model.intercept + float(model.coefficients @ bg_std_mean)
+    return [
+        Attribution(
+            key=tuple(key),
+            feature_names=model.feature_names,
+            phi=phi_row,
+            base=base,
+            prediction=model.intercept + float(model.coefficients @ x),
+        )
+        for key, phi_row, x in zip(keys, phi, x_std)
+    ]
+
+
 def shapley_linear_exact(model: EnModel, x_row, background, key=("", 0)) -> Attribution:
     """Exact Shapley values for a linear model on standardized features.
 
@@ -65,10 +88,6 @@ def shapley_linear_exact(model: EnModel, x_row, background, key=("", 0)) -> Attr
     the model's features; ``background`` supplies the reference
     distribution (typically the period's training matrix).
     """
-    bg_values, bg_names = _columns(background)
-    if bg_values.shape[0] < 1:
-        raise ValidationError("background must contain at least one row")
-    bg = _align(bg_values, bg_names, model.feature_names)
     if isinstance(x_row, dict):
         try:
             x = np.array([float(x_row[n]) for n in model.feature_names])
@@ -78,19 +97,7 @@ def shapley_linear_exact(model: EnModel, x_row, background, key=("", 0)) -> Attr
         x = np.asarray(x_row, dtype=float)
         if x.shape != (len(model.feature_names),):
             raise ValidationError("instance vector length does not match the model")
-
-    bg_std_mean = ((bg - model.means) / model.sds).mean(axis=0)
-    x_std = (x - model.means) / model.sds
-    phi = model.coefficients * (x_std - bg_std_mean)
-    base = model.intercept + float(model.coefficients @ bg_std_mean)
-    prediction = model.intercept + float(model.coefficients @ x_std)
-    return Attribution(
-        key=tuple(key),
-        feature_names=model.feature_names,
-        phi=phi,
-        base=base,
-        prediction=prediction,
-    )
+    return _linear_attributions(model, [key], x[None, :], background)[0]
 
 
 def shapley_permutation(
@@ -159,27 +166,10 @@ def shapley_permutation(
 
 def attribute_rows(model: EnModel, fm: FeatureMatrix, background=None) -> list[Attribution]:
     """Exact attributions for every row of a feature matrix."""
-    if background is None:
-        background = fm
-    bg_values, bg_names = _columns(background)
-    bg = _align(bg_values, bg_names, model.feature_names)
     rows = _align(*_columns(fm), model.feature_names)
-    bg_std_mean = ((bg - model.means) / model.sds).mean(axis=0)
-    out = []
-    for key, raw in zip(fm.row_keys, rows):
-        x_std = (raw - model.means) / model.sds
-        phi = model.coefficients * (x_std - bg_std_mean)
-        base = model.intercept + float(model.coefficients @ bg_std_mean)
-        out.append(
-            Attribution(
-                key=tuple(key),
-                feature_names=model.feature_names,
-                phi=phi,
-                base=base,
-                prediction=model.intercept + float(model.coefficients @ x_std),
-            )
-        )
-    return out
+    return _linear_attributions(
+        model, fm.row_keys, rows, fm if background is None else background
+    )
 
 
 def rank_features(attributions) -> list[tuple[str, float]]:

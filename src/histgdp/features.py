@@ -281,13 +281,15 @@ def eci(m) -> EciResult:
     trivial singular pair ``(sqrt(div), sqrt(ubiq)) / sqrt(N)`` (value 1)
     is subtracted before one thin SVD, so a disconnected graph, where 1
     repeats, needs no special case.  The start vector (diversity, else mean
-    ubiquity, else ``arange``) is projected onto the highest eigenspace it
-    is not orthogonal to, normally lambda2's; that fixes the sign, and on
-    exact ties the mixture, that the iteration reaches.  The location
-    vector is z-scored, the occupation vector is the z-scored mean over its
-    locations, and the sign makes complexity correlate non-negatively with
-    diversity.  Without such an eigenspace above 0 the result is
-    degenerate: all zeros.
+    ubiquity) is projected onto the highest eigenspace it is not orthogonal
+    to, normally lambda2's; that fixes the sign, and on exact ties the
+    mixture, that the iteration reaches.  The location vector is z-scored,
+    the occupation vector is the z-scored mean over its locations, and the
+    sign makes complexity correlate non-negatively with diversity.  Without
+    such an eigenspace above 0 the result is degenerate: all zeros.  It is
+    also degenerate when diversity and mean ubiquity are both constant: no
+    start vector then tells the locations apart without depending on their
+    order.
     """
     mv = m.values if isinstance(m, Matrix) else np.asarray(m, dtype=float)
     rows, cols = mv.shape
@@ -301,8 +303,6 @@ def eci(m) -> EciResult:
     start = _zscore(div)
     if not start.any():
         start = _zscore((mv @ ubiq) / div)
-    if not start.any():
-        start = _zscore(np.arange(rows, dtype=float))
     sqrt_div = np.sqrt(div)
     trivial = np.outer(sqrt_div, np.sqrt(ubiq))
     dec = svd(mv / trivial - trivial / div.sum(), name="eci")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DEFAULT_GATING_THRESHOLDS, GATING_RULES, RunConfig
 from .data_ingest import SNAPSHOT_YEARS, Dataset, LocationTable
 from .elasticnet import CvResult, EnModel, en_cv, en_fit, fit_centered
 from .errors import NumericalError, ValidationError
@@ -68,8 +68,8 @@ def period_of_year(year: int) -> Period:
 class GatingPolicy:
     """Minimum unweighted birth/death counts required to emit an estimate."""
 
-    thresholds: tuple = ((1600, 3), (1950, 5), (2000, 10))
-    rule: str = "both"  # both | either | sum
+    thresholds: tuple = DEFAULT_GATING_THRESHOLDS
+    rule: str = "both"  # a key of config.GATING_RULES
 
     def threshold(self, year: int) -> int:
         for cap, t in self.thresholds:
@@ -78,14 +78,7 @@ class GatingPolicy:
         return self.thresholds[-1][1]
 
     def passes(self, births: int, deaths: int, year: int) -> bool:
-        t = self.threshold(year)
-        if self.rule == "both":
-            return births >= t and deaths >= t
-        if self.rule == "either":
-            return births >= t or deaths >= t
-        if self.rule == "sum":
-            return births + deaths >= t
-        raise ValidationError(f"unknown gating rule '{self.rule}'")
+        return GATING_RULES[self.rule](births, deaths, self.threshold(year))
 
     @classmethod
     def from_config(cls, config: RunConfig) -> "GatingPolicy":
@@ -100,7 +93,6 @@ class EstimateRecord:
     ci_low: float
     ci_high: float
     kind: str  # source | estimate
-    gated: bool = False
     rescaled: bool = False
     init_gdp_provenance: str = ""
 
@@ -493,23 +485,12 @@ def run_full(
         levels = {k: 10.0 ** v for k, v in predictions.items()}
         factors = {k: 1.0 for k in levels}
         rescaled_flags = {k: False for k in levels}
-        country_years = sorted(
-            {
-                (locations.country_of(lid), year)
-                for (lid, year) in levels
-                if locations.get(lid).level == "region"
-            }
-        )
-        for country, year in country_years:
-            regional = {
-                (lid, yr): v
-                for (lid, yr), v in levels.items()
-                if yr == year
-                and locations.get(lid).level == "region"
-                and locations.country_of(lid) == country
-            }
-            if not regional:
-                continue
+        regional_groups: dict = {}  # (country, year) -> {regional key: level}
+        for (lid, year), v in levels.items():
+            if locations.get(lid).level == "region":
+                group = regional_groups.setdefault((locations.country_of(lid), year), {})
+                group[(lid, year)] = v
+        for (country, year), regional in sorted(regional_groups.items()):
             country_value = source.get((country, year))
             if country_value is None:
                 country_value = levels.get((country, year))
@@ -698,7 +679,7 @@ def write_estimates_csv(estimates, path):
                     format_float(e.ci_low),
                     format_float(e.ci_high),
                     e.kind,
-                    "true" if e.gated else "false",
+                    "false",  # gated rows are never emitted
                     "true" if e.rescaled else "false",
                     e.init_gdp_provenance,
                 ]
@@ -726,8 +707,7 @@ def read_estimates_csv(path) -> list:
                     gdp_pc=float(row[2]),
                     ci_low=float(row[3]),
                     ci_high=float(row[4]),
-                    kind=row[5],
-                    gated=row[6] == "true",
+                    kind=row[5],  # row[6], gated, is always false
                     rescaled=row[7] == "true",
                     init_gdp_provenance=row[8],
                 )

@@ -224,6 +224,20 @@ class TestEci:
         b = eci(m[perm])
         assert np.max(np.abs(b.eci - a.eci[perm])) <= 1e-9
 
+    @pytest.mark.parametrize("perm", [[1, 0, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]])
+    def test_relabeling_invariance_without_a_start_vector(self, perm):
+        # Every location has diversity 2 and mean ubiquity 2, so neither
+        # start vector tells the rows apart; the result may not depend on
+        # their order.
+        m = np.array(
+            [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], dtype=float
+        )
+        a = eci(m)
+        b = eci(m[perm])
+        assert a.degenerate == b.degenerate
+        assert np.max(np.abs(b.eci - a.eci[perm])) <= 1e-9
+        assert np.max(np.abs(b.pci - a.pci)) <= 1e-9
+
     @pytest.mark.parametrize("seed", range(6))
     def test_sign_convention(self, seed):
         rng = np.random.default_rng(100 + seed)
