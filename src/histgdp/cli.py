@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .config import CHOICES, RunConfig, config_from_sources
 from .data_ingest import load_dataset, write_rejects_report
-from .errors import HistGdpError, InputError
+from .errors import HistGdpError, InputError, ValidationError
 from .evaluation import (
     evaluate_models,
     load_proxy_csv,
@@ -110,8 +110,6 @@ def _require_inputs(config):
     missing = [name for name in ("biographies", "locations", "gdp")
                if getattr(config, name) is None]
     if missing:
-        from .errors import ValidationError
-
         print("usage: histgdp <command> --biographies B --locations L --gdp G [options]",
               file=sys.stderr)
         raise ValidationError(
@@ -139,7 +137,6 @@ def _outdir(config) -> Path:
 
 def cmd_validate(config) -> int:
     out = _outdir(config)
-    _require_inputs(config)
     try:
         dataset = _load(config)
     except HistGdpError as err:

@@ -419,6 +419,16 @@ def assign_flows(records, locations: LocationTable, snapshot_year: int, window_y
 
 
 @dataclass(frozen=True)
+class RecordWindow:
+    """The HPI inputs of some indexed records, as arrays in index order;
+    ``features.hpi_weight`` reads it element-wise as it reads one record."""
+
+    pageviews: np.ndarray  # float
+    language_editions: np.ndarray  # float
+    birth_year: np.ndarray  # int
+
+
+@dataclass(frozen=True)
 class RecordIndex:
     """Per-record arrays in person-id order, for vectorized feature counts.
 
@@ -428,13 +438,20 @@ class RecordIndex:
     or -1 where the endpoint is missing or unresolvable at that level.
     """
 
-    records: tuple  # BiographyRecord, sorted by person_id
     birth_year: np.ndarray  # int
     occupation: np.ndarray  # int code into the dataset's sorted occupations
     lifespan: np.ndarray  # float, NaN without a death year
+    pageviews: np.ndarray  # float
+    language_editions: np.ndarray  # float
     location_ids: dict  # level -> location ids in row order
     birth_row: dict  # level -> int array
     death_row: dict  # level -> int array
+
+    def window(self, rows: np.ndarray) -> RecordWindow:
+        """The HPI inputs of the records at ``rows``."""
+        return RecordWindow(
+            self.pageviews[rows], self.language_editions[rows], self.birth_year[rows]
+        )
 
 
 def index_records(records, locations: LocationTable, occupations) -> RecordIndex:
@@ -458,12 +475,13 @@ def index_records(records, locations: LocationTable, occupations) -> RecordIndex
             [point.get(r.death_location, -1) for r in ordered], dtype=np.intp
         )
     return RecordIndex(
-        records=ordered,
         birth_year=np.array([r.birth_year for r in ordered], dtype=np.int64),
         occupation=np.array([occ_code[r.occupation] for r in ordered], dtype=np.intp),
         lifespan=np.array(
             [np.nan if r.lifespan is None else r.lifespan for r in ordered], dtype=float
         ),
+        pageviews=np.array([r.pageviews for r in ordered], dtype=float),
+        language_editions=np.array([r.language_editions for r in ordered], dtype=float),
         location_ids=location_ids,
         birth_row=birth_row,
         death_row=death_row,

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_ALPHA_GRID
 from .errors import NumericalError, ValidationError
 from .numerics import Matrix
 from .rng import parallel_map
@@ -46,7 +47,6 @@ _NULL_RTOL = 1e-10
 # A step whose objective rises by more than this (relative) is rejected.
 _OBJECTIVE_SLACK = 1e-12
 _REPAIR_SWEEPS = 3
-DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
 def _unpack(x, feature_names=None):

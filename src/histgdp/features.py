@@ -11,11 +11,13 @@ ubiquity) are computed separately per hierarchy level -- mixing country
 rows and region rows in one matrix would double-count every individual.
 
 ``build_static_features`` counts from the dataset's record index
-(``Dataset.record_index``) with array operations.  ``assign_flows``,
-``flow_counts`` and ``avg_age`` compute the same counts record by record;
-they are the reference the vectorized build is tested against.  ``eci``
-takes the complexity indices in closed form from the LAPACK SVD that also
-gives the SVD factors, with a spectral certificate.
+(``Dataset.record_index``) with array operations; ``hpi``, ``hpi_weight``
+and ``linearize`` are element-wise over arrays and bit-identical to their
+one-record use.  ``assign_flows``, ``flow_counts`` and ``avg_age`` compute
+the same counts record by record; they are the reference the vectorized
+build is tested against.  ``eci`` takes the complexity indices in closed
+form from the LAPACK SVD that also gives the SVD factors, with a spectral
+certificate.
 
 Feature columns, in order:
 
@@ -51,12 +53,32 @@ N_SVD_FACTORS = 5
 INIT_GDP_PROVENANCES = ("source", "model", "country_source", "country_model", "supra_mean")
 
 
+# math's functions element-wise: the features are defined by them, and numpy's
+# need not agree in the last bit (np.log10 differs on about 3% of inputs)
+_LOG10 = np.frompyfunc(math.log10, 1, 1)
+_LN = np.frompyfunc(math.log, 1, 1)
+_ASINH = np.frompyfunc(math.asinh, 1, 1)
+
+
+def _through_math(ufunc, x: np.ndarray) -> np.ndarray:
+    return np.asarray(ufunc(x), dtype=float)
+
+
+def _log_distinct(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` over the distinct values of ``x`` (all >= 1, so no signed
+    zeros to tell apart), spread back: ages and language editions repeat."""
+    distinct, inverse = np.unique(x, return_inverse=True)
+    return _through_math(ufunc, distinct)[inverse].reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class HpiScore:
-    """Historical popularity score; ``clamped`` marks floored inputs."""
+    """Historical popularity score; ``clamped`` marks floored inputs.
 
-    value: float
-    clamped: bool = False
+    Both are scalars for scalar inputs and arrays for array inputs."""
+
+    value: float | np.ndarray
+    clamped: bool | np.ndarray = False
 
 
 def hpi(pageviews, language_editions, age) -> HpiScore:
@@ -66,25 +88,39 @@ def hpi(pageviews, language_editions, age) -> HpiScore:
     subtracted for ages under 70.  Inputs below 1 are clamped to 1 and
     flagged.  The score is continuous at age 70 and weakly increasing in
     views and language editions.
+
+    Element-wise: the inputs are scalars or equal-length arrays.  The logs
+    are ``math``'s and the operations run in the scalar formula's order, so
+    every element equals the score of its inputs alone, bit for bit.
     """
-    v = max(float(pageviews), 1.0)
-    l = max(float(language_editions), 1.0)
-    a = max(float(age), 1.0)
-    clamped = (v != pageviews) or (l != language_editions) or (a != age)
-    value = math.log10(v) + math.log(l) + math.log(a) / math.log(4.0)
-    if a < 70.0:
-        value -= (70.0 - a) / 7.0
+    views = np.asarray(pageviews, dtype=float)
+    langs = np.asarray(language_editions, dtype=float)
+    ages = np.asarray(age, dtype=float)
+    v, l, a = np.maximum(views, 1.0), np.maximum(langs, 1.0), np.maximum(ages, 1.0)
+    clamped = (v != views) | (l != langs) | (a != ages)
+    value = (
+        _log_distinct(_LOG10, v)
+        + _log_distinct(_LN, l)
+        + _log_distinct(_LN, a) / math.log(4.0)
+    )
+    value = np.where(a < 70.0, value - (70.0 - a) / 7.0, value)
+    if value.ndim == 0:
+        return HpiScore(value=float(value), clamped=bool(clamped))
     return HpiScore(value=value, clamped=clamped)
 
 
-def hpi_weight(record, reference_year: int = DEFAULT_REFERENCE_YEAR) -> float:
-    """Count weight for one record: the HPI clamped at zero.
+def hpi_weight(record, reference_year: int = DEFAULT_REFERENCE_YEAR):
+    """Count weight: the HPI clamped at zero.
 
-    The young-age penalty can push the score negative; negative "counts"
-    would break the log scaling downstream, so weights floor at 0.
+    ``record`` is one ``BiographyRecord`` (a float comes back) or a
+    ``RecordWindow`` of many (an array comes back, element-wise equal to
+    the per-record weights).  The young-age penalty can push the score
+    negative; negative "counts" would break the log scaling downstream, so
+    weights floor at 0.
     """
     score = hpi(record.pageviews, record.language_editions, reference_year - record.birth_year)
-    return max(score.value, 0.0)
+    weight = np.where(0.0 > score.value, 0.0, score.value)
+    return float(weight) if weight.ndim == 0 else weight
 
 
 @dataclass(frozen=True)
@@ -379,15 +415,25 @@ def avg_age(flows: FlowAssignment, records_by_id: dict, locations: LocationTable
     return values, tuple(flagged)
 
 
-def linearize(x: float, scale: str = "log10p1") -> float:
-    """Compress a non-negative count; both scales map 0 to 0."""
-    if x < 0:
-        raise ValidationError(f"linearize: negative input {x}")
+def linearize(x, scale: str = "log10p1"):
+    """Compress non-negative counts; both scales map 0 to 0.
+
+    Element-wise over a scalar (a float comes back) or an array, through
+    ``math.log10(1 + x)`` or ``math.asinh``.
+    """
+    values = np.asarray(x, dtype=float)
+    negative = values < 0
+    if negative.any():
+        raise ValidationError(f"linearize: negative input {values[negative].flat[0]}")
+    out = np.zeros(values.shape)
+    live = (values != 0) | np.signbit(values)  # both scales map +0 to +0
     if scale == "log10p1":
-        return math.log10(1.0 + x)
-    if scale == "asinh":
-        return math.asinh(x)
-    raise ValidationError(f"linearize: unknown scale '{scale}'")
+        out[live] = _through_math(_LOG10, 1.0 + values[live])
+    elif scale == "asinh":
+        out[live] = _through_math(_ASINH, values[live])
+    else:
+        raise ValidationError(f"linearize: unknown scale '{scale}'")
+    return float(out) if out.ndim == 0 else out
 
 
 def initial_gdp(location_id, lag_year, source_levels, model_levels, locations: LocationTable):
@@ -436,11 +482,13 @@ class FeatureMatrix:
     period: str | None = None
     init_provenance: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("feature matrix contains non-finite values")
-        if len(set(self.row_keys)) != len(self.row_keys):
+        object.__setattr__(self, "_rows", {key: i for i, key in enumerate(self.row_keys)})
+        if len(self._rows) != len(self.row_keys):
             raise ValidationError("duplicate feature matrix row keys")
         if len(set(self.columns)) != len(self.columns):
             raise ValidationError("duplicate feature column names")
@@ -451,17 +499,17 @@ class FeatureMatrix:
         return Matrix(self.values, row_labels=self.row_keys, col_labels=self.columns)
 
     def subset(self, keys) -> "FeatureMatrix":
-        index = {key: i for i, key in enumerate(self.row_keys)}
-        rows = []
-        for key in keys:
-            if key not in index:
-                raise ValidationError(f"feature matrix has no row {key}")
-            rows.append(index[key])
+        keys = tuple(keys)
+        try:
+            rows = [self._rows[key] for key in keys]
+        except KeyError as err:
+            raise ValidationError(f"feature matrix has no row {err.args[0]}") from None
+        wanted = set(keys)
         return replace(
             self,
-            row_keys=tuple(keys),
+            row_keys=keys,
             values=self.values[rows],
-            init_provenance={k: v for k, v in self.init_provenance.items() if k in set(keys)},
+            init_provenance={k: v for k, v in self.init_provenance.items() if k in wanted},
         )
 
 
@@ -515,13 +563,6 @@ class StaticFeatures:
             return self._gates[location_id]
         except KeyError:
             raise ValidationError(f"location '{location_id}' not in the count tensors") from None
-
-
-def _linearized(values: np.ndarray, scale: str) -> np.ndarray:
-    # element-wise through math: np.log10 differs from math.log10 in the
-    # last bit on some inputs, and the features are defined by linearize
-    flat = [linearize(v, scale) for v in values.ravel().tolist()]
-    return np.array(flat, dtype=float).reshape(values.shape)
 
 
 def _index_counts(index, level: str, window: np.ndarray, weights: np.ndarray, occupations):
@@ -584,13 +625,15 @@ def build_static_features(
     """All feature columns except ``init_gdp`` for one snapshot year.
 
     Reads the dataset's record index: the records born in
-    ``[year - window_years, year]`` are HPI-weighted (``hpi_weight``, once
-    per record and year) and counted per location and occupation with
-    ``np.bincount`` over the four flow masks.  Every column except the SVD
-    factors is bit-identical to the per-record reference ``assign_flows``
-    + ``flow_counts`` + ``avg_age`` + ``linearize``; ``avg_age`` is the
-    mean lifespan of a location's members with a death year, imputed with
-    the mean over all located members and flagged where there is none.
+    ``[year - window_years, year]`` are HPI-weighted by one element-wise
+    ``hpi_weight`` call on their ``RecordWindow`` and counted per location
+    and occupation with ``np.bincount`` over the four flow masks; counts
+    are linearized by one element-wise ``linearize`` call per block.
+    Every column except the SVD factors is bit-identical to the per-record
+    reference ``assign_flows`` + ``flow_counts`` + ``avg_age`` +
+    ``linearize`` per entry; ``avg_age`` is the mean lifespan of a
+    location's members with a death year, imputed with the mean over all
+    located members and flagged where there is none.
     Every computed ECI block's result is kept in ``eci_results``.
     """
     if window_years <= 0:
@@ -601,9 +644,7 @@ def build_static_features(
     window = np.flatnonzero(
         (index.birth_year >= year - window_years) & (index.birth_year <= year)
     )
-    weights = np.array(
-        [hpi_weight(index.records[i], reference_year) for i in window], dtype=float
-    )
+    weights = hpi_weight(index.window(window), reference_year)
     counted = {
         level: _index_counts(index, level, window, weights, occupations) for level in LEVELS
     }
@@ -639,8 +680,8 @@ def build_static_features(
         blocks = []
         for flow in FLOWS:
             w = tensor.weighted[flow]
-            blocks.append(_linearized(w.sum(axis=1), scale)[:, None])
-            blocks.append(_linearized(w, scale))
+            blocks.append(linearize(w.sum(axis=1), scale)[:, None])
+            blocks.append(linearize(w, scale))
         blocks.append(np.column_stack([diversity(tensor, f) for f in FLOWS]))
         blocks.append(np.column_stack([avg_ubiquity(tensor, f) for f in FLOWS]))
         blocks.append(np.column_stack([_eci_column(tensor, f, eci_results) for f in FLOWS]))

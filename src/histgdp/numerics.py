@@ -192,16 +192,15 @@ def quantile(values, p: float) -> float:
 
 
 def _midranks(pooled: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their positions: a run of
+    equal sorted values at positions ``i..j`` gets ``0.5 * (i + j) + 1``."""
     order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size, dtype=float)
     sorted_vals = pooled[order]
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    edge = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
+    first = np.concatenate(([0], edge))
+    last = np.concatenate((edge, [pooled.size])) - 1
+    ranks = np.empty(pooled.size, dtype=float)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,12 +120,16 @@ class BaselineModel:
     lag_coefficient: float | None
     rank_deficient: bool
     single_obs_cells: tuple
+    _cell_index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_cell_index", {c: k for k, c in enumerate(self.cells)})
 
     def predict_one(self, supra: str, year: int, init_log: float | None) -> float:
         value = self.intercept
-        cell = f"{supra}|{year}"
-        if cell in self.cells:
-            value += float(self.cell_coefficients[self.cells.index(cell)])
+        k = self._cell_index.get(f"{supra}|{year}")
+        if k is not None:
+            value += float(self.cell_coefficients[k])
         if self.lag_coefficient is not None:
             if init_log is None:
                 raise ValidationError("baseline prediction needs an initial income value")
@@ -142,13 +147,12 @@ def fit_baseline(labeled_keys, y_log, init_log, locations: LocationTable, period
     if not keys:
         raise ValidationError(f"fit_baseline: no observations in period '{period.period_id}'")
     y = np.asarray(y_log, dtype=float)
-    cells = sorted({f"{locations.supra_of(lid)}|{year}" for lid, year in keys})
+    row_cells = [f"{locations.supra_of(lid)}|{year}" for lid, year in keys]
+    cells = sorted(set(row_cells))
+    column = {cell: k for k, cell in enumerate(cells)}
     design = np.zeros((len(keys), len(cells) + (0 if init_log is None else 1)))
-    counts: dict[str, int] = {}
-    for i, (lid, year) in enumerate(keys):
-        cell = f"{locations.supra_of(lid)}|{year}"
-        design[i, cells.index(cell)] = 1.0
-        counts[cell] = counts.get(cell, 0) + 1
+    design[np.arange(len(keys)), [column[cell] for cell in row_cells]] = 1.0
+    counts = Counter(row_cells)
     if init_log is not None:
         init = np.asarray(init_log, dtype=float)
         if init.size != len(keys):

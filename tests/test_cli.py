@@ -94,6 +94,12 @@ class TestValidate:
         bad.write_text('{"not_a_key": 1}')
         assert run(["validate", "--config", bad]) == 1
 
+    def test_missing_input_path_exits_one_with_one_usage_line(self, tmp_path, capsys):
+        assert run(["validate", "--output-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("usage") == 1 and "missing required input" in err
+        assert not (tmp_path / "rejects.csv").exists()
+
 
 class TestEstimate:
     def test_outputs_written(self, config_file, tmp_path, capsys):

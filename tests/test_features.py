@@ -720,3 +720,132 @@ class TestEciClosedForm:
         res = eci(m)
         assert res.relative_gap > NEAR_DEGENERATE_GAP
         assert np.max(np.abs(res.eci - loc)) <= 1e-9
+
+
+def reference_hpi_weight(pageviews, language_editions, age):
+    """The one-record HPI weight written with Python floats and ``math``."""
+    v = max(float(pageviews), 1.0)
+    l = max(float(language_editions), 1.0)
+    a = max(float(age), 1.0)
+    value = math.log10(v) + math.log(l) + math.log(a) / math.log(4.0)
+    if a < 70.0:
+        value -= (70.0 - a) / 7.0
+    return max(value, 0.0)
+
+
+@pytest.fixture
+def hpi_edge_dataset(locations):
+    reference = 1820
+    cases = [
+        # (views, langs, age)
+        (0, 3, 200), (100, 0, 200), (0, 0, 90),  # clamped to 1
+        (5000, 7, 0), (5000, 7, -15),  # ages <= 0
+        (731, 4, 70), (731, 4, 69), (731, 4, 71),  # either side of the penalty
+        (5000, 7, 50),  # penalized, still positive
+        (1, 1, 23), (2, 1, 5),  # floored at 0
+        (123456789, 250, 1000), (37, 2, 1),
+    ]
+    records = [
+        rec(f"h{i:02d}", reference - age, "AT", "PL", views=views, langs=langs)
+        for i, (views, langs, age) in enumerate(cases)
+    ]
+    return Dataset(records=records, locations=locations, gdp=[]), reference
+
+
+class TestElementwiseHpi:
+    def test_index_window_matches_per_record_calls(self, hpi_edge_dataset):
+        ds, reference = hpi_edge_dataset
+        index = ds.record_index
+        rows = np.arange(len(ds.records))
+        weights = hpi_weight(index.window(rows), reference)
+        records = [ds.by_person[pid] for pid in sorted(ds.by_person)]
+        per_record = np.array([hpi_weight(r, reference) for r in records])
+        expected = np.array([
+            reference_hpi_weight(r.pageviews, r.language_editions, reference - r.birth_year)
+            for r in records
+        ])
+        assert weights.tobytes() == per_record.tobytes() == expected.tobytes()
+        floored = [r.person_id for r, w in zip(records, weights) if w == 0.0]
+        assert floored == ["h03", "h04", "h09", "h10", "h12"]
+        # a subset window in index order
+        some = rows[[1, 4, 6, 8, 9]]
+        assert hpi_weight(index.window(some), reference).tobytes() == expected[some].tobytes()
+
+    def test_world_weights_match_math_bit_for_bit(self, small_world):
+        index = small_world.dataset.record_index
+        records = sorted(small_world.dataset.records, key=lambda r: r.person_id)
+        views = [r.pageviews for r in records]
+        # the check can tell math's logs from numpy's on this world
+        assert any(np.log10(float(v)) != math.log10(v) for v in views)
+        rows = np.arange(len(records))
+        for reference in (1820, 2023):
+            expected = np.array([
+                reference_hpi_weight(r.pageviews, r.language_editions, reference - r.birth_year)
+                for r in records
+            ])
+            assert hpi_weight(index.window(rows), reference).tobytes() == expected.tobytes()
+
+    def test_array_score_matches_scalar_scores(self):
+        views = np.array([0.0, 10.0, 100.0, 100.0, 1000.0, 5.0])
+        langs = np.array([1.0, 0.0, 3.0, 3.0, 1.0, 2.0])
+        ages = np.array([50.0, 64.0, 70 - 1e-9, 70.0, 256.0, -3.0])
+        score = hpi(views, langs, ages)
+        for i in range(views.size):
+            one = hpi(views[i], langs[i], ages[i])
+            assert isinstance(one.value, float) and isinstance(one.clamped, bool)
+            assert score.value[i] == one.value and score.clamped[i] == one.clamped
+        assert score.clamped.tolist() == [True, True, False, False, False, True]
+
+    def test_empty_window(self, hpi_edge_dataset):
+        ds, reference = hpi_edge_dataset
+        empty = ds.record_index.window(np.array([], dtype=np.intp))
+        assert hpi_weight(empty, reference).shape == (0,)
+
+
+class TestElementwiseLinearize:
+    @pytest.fixture
+    def counts(self):
+        rng = np.random.default_rng(3)
+        w = rng.gamma(0.7, 40.0, size=(30, 9)) * (rng.random((30, 9)) > 0.4)
+        w[0, :6] = [0.0, -0.0, 5e-324, 1e-300, 1e300, 99.0]
+        return w
+
+    def test_matches_math_per_element(self, counts):
+        for scale, fn in (("log10p1", lambda x: math.log10(1.0 + x)), ("asinh", math.asinh)):
+            out = linearize(counts, scale)
+            expected = np.array([fn(x) for x in counts.ravel().tolist()]).reshape(counts.shape)
+            assert out.shape == counts.shape
+            assert out.tobytes() == expected.tobytes()
+        assert np.signbit(linearize(counts, "asinh")[0, 1])  # asinh(-0.0) is -0.0
+        # the check can tell math's log10 from numpy's on these counts
+        assert np.any(np.log10(1.0 + counts) != linearize(counts, "log10p1"))
+
+    def test_scalar_in_float_out(self):
+        assert isinstance(linearize(3), float)
+        assert linearize(np.float64(99.0)) == 2.0
+
+    def test_array_errors_kept(self, counts):
+        bad = counts.copy()
+        bad[4, 2] = -0.25
+        with pytest.raises(ValidationError, match="negative input -0.25"):
+            linearize(bad, "asinh")
+        with pytest.raises(ValidationError, match="unknown scale 'log'"):
+            linearize(counts, "log")
+
+
+class TestSubset:
+    def test_filters_init_provenance(self, small_dataset):
+        fm = build_feature_matrix(1750, small_dataset, lag_year=1700)
+        assert set(fm.init_provenance) == {("AT", 1750), ("PL", 1750)}
+        sub = fm.subset([("PL", 1750)])
+        assert sub.init_provenance == {("PL", 1750): fm.init_provenance[("PL", 1750)]}
+        assert set(fm.init_provenance) == {("AT", 1750), ("PL", 1750)}
+
+    def test_keeps_requested_order_and_rejects_unknown_keys(self, small_dataset):
+        fm = build_feature_matrix(1750, small_dataset, lag_year=1700)
+        keys = list(reversed(fm.row_keys))
+        sub = fm.subset(iter(keys))
+        assert sub.row_keys == tuple(keys)
+        assert np.array_equal(sub.values, fm.values[::-1])
+        with pytest.raises(ValidationError, match=r"no row \('XX', 1750\)"):
+            fm.subset([("AT", 1750), ("XX", 1750)])

@@ -6,6 +6,7 @@ import pytest
 from histgdp.errors import NumericalError, ValidationError
 from histgdp.numerics import (
     Matrix,
+    _midranks,
     chi2_sf,
     kruskal_wallis,
     mae_relative,
@@ -296,3 +297,34 @@ class TestCorrelation:
     def test_spearman_monotone(self):
         x = np.array([1.0, 4.0, 9.0, 16.0])
         assert abs(spearman(x, np.sqrt(x)) - 1.0) < 1e-12
+
+
+def reference_midranks(pooled):
+    """Mid-ranks by scanning each run of equal sorted values."""
+    order = np.argsort(pooled, kind="stable")
+    ranks = np.empty(pooled.size, dtype=float)
+    sorted_vals = pooled[order]
+    i = 0
+    while i < pooled.size:
+        j = i
+        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestMidranks:
+    def test_matches_run_scan_on_ties(self):
+        rng = np.random.default_rng(5)
+        cases = [np.array([]), np.array([4.0]), np.full(6, 2.5),
+                 np.array([0.0, -0.0, 1.0, -0.0, 0.0]), np.array([3.0, 1.0, 2.0, 1.0, 3.0, 3.0])]
+        for n in (2, 7, 40, 301):
+            cases.append(rng.integers(0, max(2, n // 4), n).astype(float))
+            cases.append(rng.normal(size=n))
+        for x in cases:
+            assert _midranks(x).tobytes() == reference_midranks(x).tobytes()
+
+    def test_tied_ranks(self):
+        assert _midranks(np.array([10.0, 20.0, 10.0, 30.0, 20.0, 10.0])).tolist() == \
+            [2.0, 4.5, 2.0, 6.0, 4.5, 2.0]

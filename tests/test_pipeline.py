@@ -113,6 +113,19 @@ class TestBaseline:
         with pytest.raises(ValidationError):
             fit_baseline([], np.array([]), None, fe_locations, PERIODS[0])
 
+    def test_design_has_one_indicator_per_row(self, fe_locations):
+        keys = [("B2", 1350), ("A1", 1300), ("A2", 1350), ("B1", 1300), ("A1", 1350)]
+        y = np.array([2.5, 3.0, 3.5, 2.0, 3.4])
+        model = fit_baseline(keys, y, None, fe_locations, PERIODS[0])
+        assert model.cells == ("North|1300", "North|1350", "South|1300", "South|1350")
+        assert model.single_obs_cells == ("North|1300", "South|1300", "South|1350")
+        for (lid, year), expect in zip(keys[:2] + keys[3:4], (2.5, 3.0, 2.0)):
+            assert model.predict_one(fe_locations.supra_of(lid), year, None) == \
+                pytest.approx(expect, abs=1e-8)
+        assert model.predict_one("North", 1350, None) == pytest.approx(3.45, abs=1e-8)
+        # a cell the period never saw adds no fixed effect
+        assert model.predict_one("West", 1300, None) == model.intercept
+
 
 class TestRescaling:
     def test_equal_proxies(self):
