@@ -16,10 +16,18 @@ The solver follows the active-set strategy of glmnet (Friedman, Hastie &
 Tibshirani 2010): it solves these equations exactly on the current sign
 pattern, as in feature-sign search (Lee, Battle, Raina & Ng 2007), and
 admits the largest violator once the active block is optimal.  Every fit
-returns its largest KKT violation as a certificate.  Solvers work on
-precomputed Gram matrices, which keeps warm-started regularization paths
-and cross-validation cheap on the small design matrices this package
-produces.
+returns its largest KKT violation as a certificate.
+
+One kernel, :func:`_solve_stack`, solves every fit of the package.  It
+advances a stack of independent problems together: a stack of Gram
+systems, each solved for several alphas along its own warm-started lambda
+path, with one batched block solve per iteration over the active blocks,
+padded with identity rows to the largest.  The Grams are built from
+multiplicity weights, ``Xc' diag(w) Xc``: 0/1 weights give the CV folds'
+training rows and ``np.bincount`` counts the bootstrap resamples.  So
+:func:`en_cv` solves every fold x alpha path, plus the full-data path
+that warm-starts the final :func:`en_fit`, in one call, and
+:func:`fit_centered` solves all bootstrap replicates of a period in one.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ import numpy as np
 from .config import DEFAULT_ALPHA_GRID
 from .errors import NumericalError, ValidationError
 from .numerics import Matrix
-from .rng import parallel_map
 
 DEFAULT_TOL = 1e-7  # largest KKT violation a fit may keep
 DEFAULT_MAX_STEPS = 10_000
@@ -81,7 +88,7 @@ def _check_standardized(values: np.ndarray):
 def _objective(xty, beta, c, l1):
     # the loss less the constant y'y, from c = X'y - (G + l2 I) beta:
     # b'Gb - 2 b'X'y + l2 b'b + 2 l1 |b|_1 = -b'(X'y + c) + 2 l1 |b|_1
-    return float(2.0 * l1 * np.abs(beta).sum() - beta @ (xty + c))
+    return 2.0 * l1 * np.abs(beta).sum(axis=1) - (beta * (xty + c)).sum(axis=1)
 
 
 def _repair_sweeps(gram, xty, beta, l1, l2):
@@ -96,22 +103,28 @@ def _repair_sweeps(gram, xty, beta, l1, l2):
                 beta[j] = math.copysign(max(abs(z) - l1, 0.0), z) / denom
 
 
-def _block_direction(h, g, l1, tol):
-    """Direction and step length toward the optimum of one sign pattern.
-
-    ``h`` is the active block ``G_AA + l2 I`` and ``g`` its KKT residual.
-    A regular block (Cholesky pivots clear of zero) takes the Newton step
-    ``h^-1 g``.  On a singular block, when the l1 term falls along the null
-    space (``g`` has a null-space component), the objective decreases
-    linearly along that component, so the move follows it; otherwise the
-    minimum-norm step through ``eigh`` solves the block.
-    """
+def _regular(h, real):
+    """Which blocks of the stack ``h`` are regular: Cholesky pivots of the
+    ``real`` (unpadded) part clear of zero relative to its largest diagonal
+    entry.  A failed batched factorization is retried block by block."""
     try:
-        pivots = np.diagonal(np.linalg.cholesky(h))
-        if pivots.min() ** 2 > _NULL_RTOL * h.diagonal().max():
-            return np.linalg.solve(h, g), 1.0
+        pivots = np.diagonal(np.linalg.cholesky(h), axis1=1, axis2=2)
     except np.linalg.LinAlgError:
-        pass
+        if len(h) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_regular(h[i : i + 1], real[i : i + 1]) for i in range(len(h))])
+    diagonal = np.diagonal(h, axis1=1, axis2=2)
+    if not real.all():
+        pivots = np.where(real, pivots, np.inf)
+        diagonal = np.where(real, diagonal, 0.0)
+    return pivots.min(axis=1) ** 2 > _NULL_RTOL * diagonal.max(axis=1)
+
+
+def _null_direction(h, g, l1, tol):
+    """Direction and step length on one singular block through ``eigh``:
+    when the l1 term falls along the null space (``g`` has a null-space
+    component), the objective decreases linearly along that component, so
+    the move follows it; otherwise the minimum-norm step solves the block."""
     w, v = np.linalg.eigh(h)
     null = w <= _NULL_RTOL * max(w[-1], 0.0)
     gv = v.T @ g
@@ -123,90 +136,249 @@ def _block_direction(h, g, l1, tol):
     return v[:, keep] @ (gv[keep] / w[keep]), 1.0
 
 
+def _block_direction(h, g, real, l1, tol):
+    """Directions and step lengths toward the optimum of each sign pattern.
+
+    ``h`` stacks the active blocks ``G_AA + l2 I``, padded with identity
+    rows where ``real`` is false, and ``g`` their KKT residuals (zero on
+    the padding, so padding decouples and its direction is zero).  Regular
+    blocks take the Newton step ``h^-1 g`` in one batched solve; a
+    singular one takes :func:`_null_direction` on its unpadded part.
+    """
+    regular = _regular(h, real)
+    t = np.ones(len(g))
+    if regular.all():
+        return np.linalg.solve(h, g[..., None])[..., 0], t
+    d = np.zeros_like(g)
+    if regular.any():
+        d[regular] = np.linalg.solve(h[regular], g[regular][..., None])[..., 0]
+    for r in np.flatnonzero(~regular):
+        m = real[r]
+        d[r, m], t[r] = _null_direction(h[r][np.ix_(m, m)], g[r, m], l1[r], tol)
+    return d, t
+
+
 def _active_step(gram, beta, c, active, signs, l1, l2, tol):
-    """One move on the sign pattern ``signs`` of the ``active`` block,
-    toward the solution of ``(G_AA + l2 I) b_A = X_A'y - l1 s_A`` and
-    stopped at the first sign crossing, where the crossing coordinate
-    leaves the active set."""
-    h = gram[active][:, active]
-    h.flat[:: active.size + 1] += l2
-    d, t = _block_direction(h, c[active] - l1 * signs, l1, tol)
-    b = beta[active]
-    crossing = np.zeros(d.size, dtype=bool)
-    if l1 > 0.0:
-        toward_zero = signs * d < 0.0
-        cross_t = np.full(d.size, math.inf)
-        cross_t[toward_zero] = -b[toward_zero] / d[toward_zero]
-        if cross_t.min() <= t:
-            t = float(cross_t.min())
-            crossing = cross_t <= t
-    if not math.isfinite(t):
+    """One move for every problem with an active coordinate.
+
+    ``beta``, ``c``, ``active`` and ``signs`` are ``(B, p)`` and ``l1``,
+    ``l2`` ``(B,)``; consecutive runs of ``B / len(gram)`` problems share
+    one Gram of the stack ``gram``.  Each problem moves on the sign pattern
+    ``signs`` of its ``active`` block toward the solution of
+    ``(G_AA + l2 I) b_A = X_A'y - l1 s_A``, stopped at the first sign
+    crossing, where the crossing coordinate leaves the active set.  Blocks
+    are gathered only for problems with an active coordinate and padded to
+    the largest.  Returns the trial in ``beta``'s shape; the other problems
+    keep their ``beta``.
+    """
+    n, p = beta.shape
+    size = active.sum(axis=1)
+    rows = np.flatnonzero(size)
+    size = size[rows]
+    k = size.max()
+    cols = np.argsort(~active[rows], axis=1, kind="stable")[:, :k]  # active coordinates first
+    real = np.arange(k) < size[:, None]
+    at = rows[:, None] * p + cols  # flat positions in (n, p) arrays
+    block_rows = ((rows // (n // len(gram))) * (p * p))[:, None] + cols * p  # flat, in gram
+    h = gram.reshape(-1).take(block_rows[:, :, None] + cols[:, None, :])
+    g = c.take(at) - l1[rows][:, None] * signs.take(at)
+    shift = l2[rows][:, None]
+    if not real.all():
+        # identity rows with a zero right-hand side: the padding solves to
+        # zero whatever its columns hold, and Cholesky reads only the lower
+        # triangle, so the real part is factored and solved alone
+        pad = ~real
+        h[pad] = 0.0
+        g[pad] = 0.0
+        shift = np.where(real, shift, 1.0)
+    diag = np.arange(k)
+    h[:, diag, diag] += shift
+    d, t = _block_direction(h, g, real, l1[rows], tol)
+    # padding and smooth problems (zero signs) never cross
+    b = beta.take(at)
+    toward_zero = signs.take(at) * d < 0.0
+    cross_t = np.full(d.shape, math.inf)
+    np.divide(-b, d, out=cross_t, where=toward_zero)
+    first = cross_t.min(axis=1)
+    hit = first <= t
+    t = np.where(hit, first, t)
+    if not np.isfinite(t).all():
         raise NumericalError("elastic net: unbounded direction on a singular active block")
+    b += t[:, None] * d
+    b[hit[:, None] & (cross_t <= t[:, None])] = 0.0
     out = beta.copy()
-    out[active] = np.where(crossing, 0.0, b + t * d)
+    out.put(at, b)  # a padded coordinate is inactive: zero before and after
     return out
 
 
-def _cd_solve(gram, xty, alpha, lam, beta0, tol, max_sweeps):
-    """Exact active-set elastic net on the Gram system.
+def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
+    """Exact active-set elastic net on a stack of independent problems.
 
-    Each step solves the stationarity equations of the current sign
-    pattern exactly and line-searches to the first sign crossing; once the
-    active block is optimal the largest KKT violator joins it.  With no l1
-    part (``alpha = 0`` or ``lam = 0``) the problem is smooth and one
-    linear solve answers it.  Stops when the largest KKT violation is at
-    most ``tol``; more than ``max_sweeps`` steps raise
-    :class:`NumericalError`.  Returns ``(beta, steps, max KKT violation)``;
-    the violation is the fit's certificate.
+    ``gram`` ``(S, p, p)`` and ``xty`` ``(S, p)`` are ``S`` Gram systems;
+    each is solved for every ``alphas[a]`` along its own path
+    ``lams[a]`` (``lams`` is ``(A, L)``), giving ``S * A`` problems that
+    all start from ``beta0`` (broadcast to ``(S, A, p)``; zeros when
+    None).  Every iteration takes one step for every unfinished problem:
+    the stationarity equations of its current sign pattern are solved
+    exactly (one batched solve over the padded active blocks) and
+    line-searched to the first sign crossing; once the active block is
+    optimal the largest KKT violator joins it.  Problems with no l1 part
+    (``alpha = 0`` or ``lam = 0``) are smooth and take one batched
+    full-block solve of their own.  A step that does not lower the
+    objective is replaced by coordinate sweeps.  A problem records its
+    solution and moves to its next lambda, warm-started, as soon as its
+    largest KKT violation is at most ``tol``; more than ``max_steps``
+    steps at one lambda raise :class:`NumericalError`.
+
+    Returns ``(path, steps, violations)``: the solutions ``(S, A, L, p)``,
+    the steps taken at each lambda ``(S, A, L)``, and each solution's
+    largest KKT violation ``(S, A, L)``, its certificate.
     """
-    p = xty.size
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
+    gram = np.ascontiguousarray(gram, dtype=float)
+    n_sys, p = xty.shape
+    n_alpha, n_lam = lams.shape
+    n = n_sys * n_alpha
+    which_alpha = np.tile(np.arange(n_alpha), n_sys)
+    alpha = np.asarray(alphas, dtype=float)[which_alpha]
+    xty = np.repeat(xty, n_alpha, axis=0)
+    beta = np.zeros((n_sys, n_alpha, p))
+    if beta0 is not None:
+        beta[...] = beta0
+    beta = beta.reshape(n, p)
+    path = np.empty((n, n_lam, p))
+    cert = np.empty((n, n_lam))
+    steps = np.empty((n, n_lam), dtype=int)
+    pos = np.zeros(n, dtype=int)
+    here = np.zeros(n, dtype=int)  # steps at the current lambda
+    running = np.ones(n, dtype=bool)
+    lam = lams[which_alpha, 0]
     l1 = lam * alpha / 2.0
     l2 = lam * (1.0 - alpha)
+    l1_col, l2_col = l1[:, None], l2[:, None]  # views: they follow l1 and l2
+    can_be_smooth = bool((alpha == 0.0).any() or (lams == 0.0).any())
 
-    def residual(b):
-        return xty - gram @ b - l2 * b
+    def times_gram(b):
+        return np.matmul(b.reshape(n_sys, n_alpha, p), gram).reshape(n, p)
 
-    c = residual(beta)
-    steps = 0
+    gb = times_gram(beta)
+    c = xty - gb - l2_col * beta
     while True:
         nonzero = beta != 0.0
         resid = np.where(
-            nonzero, np.abs(c - l1 * np.sign(beta)), np.maximum(np.abs(c) - l1, 0.0)
+            nonzero,
+            np.abs(c - l1_col * np.sign(beta)),
+            np.maximum(np.abs(c) - l1_col, 0.0),
         )
-        violation = float(resid.max(initial=0.0))
-        if violation <= tol:
-            return beta, steps, violation
-        if steps >= max_sweeps or not math.isfinite(violation):
-            raise NumericalError(
-                f"elastic net did not converge: {steps} steps, "
-                f"max KKT violation {violation:.3e} (tol {tol:.1e})"
-            )
-        steps += 1
-        if l1 == 0.0:
-            beta = _active_step(gram, beta, c, np.arange(p), np.zeros(p), l1, l2, tol)
-            c = residual(beta)
+        violation = resid.max(axis=1, initial=0.0)
+        done = running & (violation <= tol)
+        if done.any():
+            # record, then move to the next lambda and check it afresh
+            idx = np.flatnonzero(done)
+            i = pos[idx]
+            path[idx, i] = beta[idx]
+            cert[idx, i] = violation[idx]
+            steps[idx, i] = here[idx]
+            here[idx] = 0
+            pos[idx] = i = i + 1
+            more = i < n_lam
+            running[idx[~more]] = False
+            if not running.any():
+                shape = (n_sys, n_alpha, n_lam)
+                return path.reshape(shape + (p,)), steps.reshape(shape), cert.reshape(shape)
+            idx, i = idx[more], i[more]
+            lam = lams[which_alpha[idx], i]
+            l1[idx] = lam * alpha[idx] / 2.0
+            l2[idx] = lam * (1.0 - alpha[idx])
+            c = xty - gb - l2_col * beta
             continue
-        signs = np.sign(np.where(nonzero, beta, c))
-        if not np.any(resid[nonzero] > tol):
-            nonzero[int(np.argmax(np.where(nonzero, 0.0, resid)))] = True
-        active = np.flatnonzero(nonzero)
-        trial = _active_step(gram, beta, c, active, signs[active], l1, l2, tol)
-        c_trial = residual(trial)
-        before = _objective(xty, beta, c, l1)
-        if (
-            np.array_equal(trial, beta)
-            or _objective(xty, trial, c_trial, l1) > before + _OBJECTIVE_SLACK * (abs(before) + 1.0)
-        ):
-            trial = beta.copy()
-            _repair_sweeps(gram, xty, trial, l1, l2)
-            if np.array_equal(trial, beta):
-                raise NumericalError(
-                    f"elastic net stalled after {steps} steps at max KKT "
-                    f"violation {violation:.3e} (tol {tol:.1e})"
-                )
-            c_trial = residual(trial)
-        beta, c = trial, c_trial
+        if here.max() >= max_steps or not np.isfinite(violation).all():
+            j = np.argmax((here >= max_steps) | ~np.isfinite(violation))
+            raise NumericalError(
+                f"elastic net did not converge: {here[j]} steps, "
+                f"max KKT violation {violation[j]:.3e} (tol {tol:.1e})"
+            )
+        here += running
+        trial = beta
+        rough = running
+        if can_be_smooth:
+            smooth = running & (l1 == 0.0)
+            rough = running & ~smooth
+            if smooth.any():
+                every = np.broadcast_to(smooth[:, None], beta.shape)
+                trial = _active_step(gram, beta, c, every, np.zeros_like(beta), l1, l2, tol)
+        if rough.any():
+            signs = np.sign(np.where(nonzero, beta, c))
+            active = nonzero & rough[:, None]
+            # admit the largest violator where the active block is optimal
+            admit = np.flatnonzero(rough & ~(nonzero & (resid > tol)).any(axis=1))
+            newcomer = np.argmax(np.where(nonzero, 0.0, resid), axis=1)
+            active[admit, newcomer[admit]] = True
+            stepped = _active_step(gram, beta, c, active, signs, l1, l2, tol)
+            trial = stepped if trial is beta else np.where(rough[:, None], stepped, trial)
+        gb_trial = times_gram(trial)
+        c_trial = xty - gb_trial - l2_col * trial
+        if rough.any():
+            before = _objective(xty, beta, c, l1)
+            rejected = rough & (
+                (trial == beta).all(axis=1)
+                | (_objective(xty, trial, c_trial, l1) > before + _OBJECTIVE_SLACK * (np.abs(before) + 1.0))
+            )
+            if rejected.any():
+                for j in np.flatnonzero(rejected):
+                    repaired = beta[j].copy()
+                    _repair_sweeps(gram[j // n_alpha], xty[j], repaired, l1[j], l2[j])
+                    if np.array_equal(repaired, beta[j]):
+                        raise NumericalError(
+                            f"elastic net stalled after {here[j]} steps at max KKT "
+                            f"violation {violation[j]:.3e} (tol {tol:.1e})"
+                        )
+                    trial[j] = repaired
+                gb_trial = times_gram(trial)
+                c_trial = xty - gb_trial - l2_col * trial
+        beta, gb, c = trial, gb_trial, c_trial
+
+
+def _cd_solve(gram, xty, alpha, lam, beta0, tol, max_sweeps):
+    """Exact active-set elastic net on one Gram system: :func:`_solve_stack`
+    on a stack of one problem at one ``(alpha, lam)``.  Stops when the
+    largest KKT violation is at most ``tol``; more than ``max_sweeps``
+    steps raise :class:`NumericalError`.  Returns ``(beta, steps, max KKT
+    violation)``; the violation is the fit's certificate.
+    """
+    path, steps, cert = _solve_stack(
+        np.asarray(gram, dtype=float)[None], np.asarray(xty, dtype=float)[None],
+        (alpha,), np.array([[lam]], dtype=float), beta0, tol, max_sweeps,
+    )
+    return path[0, 0, 0], int(steps[0, 0, 0]), float(cert[0, 0, 0])
+
+
+def _centered_systems(x, y, weights):
+    """Centred Gram systems of one design under rows of multiplicity weights.
+
+    Row ``i`` enters system ``s`` ``weights[s, i]`` times: bootstrap counts
+    from ``np.bincount``, or 0/1 for a CV fold's training rows.  Each
+    system is centred on its own weighted column and response means, and
+    its Gram ``Xc' diag(w) Xc`` is one symmetric product of the rows with
+    nonzero weight scaled by ``sqrt(w)``, without copying repeated rows.
+    Returns the Gram stack ``(S, p, p)``, built in place,
+    ``Xc' diag(w) yc`` ``(S, p)``, the column means ``(S, p)`` and the
+    response means ``(S,)``.
+    """
+    w = np.asarray(weights, dtype=float)
+    totals = w.sum(axis=1)
+    col_means = (w @ x) / totals[:, None]
+    y_means = (w @ y) / totals
+    grams = np.empty((w.shape[0], x.shape[1], x.shape[1]))
+    xty = np.empty((w.shape[0], x.shape[1]))
+    for s in range(w.shape[0]):
+        rows = np.flatnonzero(w[s])
+        root = np.sqrt(w[s, rows])
+        scaled = x[rows]
+        scaled -= col_means[s]
+        scaled *= root[:, None]
+        np.matmul(scaled.T, scaled, out=grams[s])
+        np.matmul(scaled.T, (y[rows] - y_means[s]) * root, out=xty[s])
+    return grams, xty, col_means, y_means
 
 
 @dataclass(frozen=True)
@@ -398,7 +570,15 @@ def lambda_path(x, y, alpha: float, n_lambda: int = 100, ratio: float = 1e-4) ->
 
 @dataclass(frozen=True)
 class CvResult:
-    """Cross-validation surface over the (alpha, lambda) grid."""
+    """Cross-validation surface over the (alpha, lambda) grid.
+
+    ``kkt_violation`` is the largest KKT violation over every solve of the
+    grid, the certificate of the whole surface.  ``chosen_coefficients``
+    is the full-data solution at the chosen cell, a warm start for the
+    final fit, and ``chosen_steps`` the active-set steps the full-data
+    path took from zero to reach it; under ``fold_average``, whose pair
+    is off-grid, they are None and 0.
+    """
 
     alphas: np.ndarray
     lambdas: np.ndarray
@@ -408,28 +588,9 @@ class CvResult:
     chosen_lambda: float
     fold_choices: tuple = field(default_factory=tuple)
     selection_rule: str = "min_mean"
-
-
-def _fold_path_mse(values, yv, train_idx, val_idx, alpha, lambdas, tol, max_sweeps):
-    # Center columns and response on the training fold so the intercept is
-    # handled exactly; scale stays that of the (globally standardized) input.
-    xt = values[train_idx]
-    yt = yv[train_idx]
-    col_means = xt.mean(axis=0)
-    y_mean = yt.mean()
-    xc = xt - col_means
-    yc = yt - y_mean
-    gram = xc.T @ xc
-    xty = xc.T @ yc
-    xv = values[val_idx] - col_means
-    yval = yv[val_idx]
-    mses = np.empty(lambdas.size)
-    beta = None
-    for i, lam in enumerate(lambdas):
-        beta, _, _ = _cd_solve(gram, xty, alpha, lam, beta, tol, max_sweeps)
-        pred = y_mean + xv @ beta
-        mses[i] = float(np.mean((pred - yval) ** 2))
-    return mses
+    kkt_violation: float = 0.0
+    chosen_coefficients: np.ndarray | None = None
+    chosen_steps: int = 0
 
 
 def en_cv(
@@ -444,16 +605,20 @@ def en_cv(
     selection_rule: str = "min_mean",
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_STEPS,
-    threads: int = 1,
 ) -> CvResult:
     """k-fold cross-validation over an (alpha, lambda) grid.
 
-    Rows are shuffled once with the seed and cut into k contiguous folds;
-    each fold's path fits are warm-started from the previous lambda.  The
-    default rule picks the grid cell with minimum mean validation MSE,
-    breaking ties toward larger lambda (the sparser model).  The
-    ``fold_average`` rule instead takes each fold's own optimum and
-    averages the chosen (alpha, lambda) pairs.
+    Rows are shuffled once with the seed and cut into k contiguous folds.
+    Each fold's training rows give one centred Gram system (0/1
+    multiplicity weights), and the full data one more; every system's
+    path over every alpha is solved in one :func:`_solve_stack` call,
+    warm-started from the previous lambda.  Columns and response are
+    centred on the training fold so the intercept is handled exactly;
+    scale stays that of the (globally standardized) input.  The default
+    rule picks the grid cell with minimum mean validation MSE, breaking
+    ties toward larger lambda (the sparser model).  The ``fold_average``
+    rule instead takes each fold's own optimum and averages the chosen
+    (alpha, lambda) pairs.
     """
     values, _ = _unpack(x)
     yv = np.asarray(y, dtype=float)
@@ -470,29 +635,24 @@ def en_cv(
 
     order = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(order, k)
-    paths = {a: lambda_path(values, yv, a, n_lambda=n_lambda, ratio=lambda_ratio) for a in alpha_grid}
+    lams = np.array(
+        [lambda_path(values, yv, a, n_lambda=n_lambda, ratio=lambda_ratio) for a in alpha_grid]
+    )
+    weights = np.ones((k + 1, n))  # the last system is the full data
+    for f, val_idx in enumerate(folds):
+        weights[f, val_idx] = 0.0
+    gram, xty, col_means, y_means = _centered_systems(values, yv, weights)
+    path, steps, cert = _solve_stack(gram, xty, alpha_grid, lams, None, tol, max_sweeps)
 
-    def run_fold(fold_idx):
-        val_idx = folds[fold_idx]
-        train_idx = np.concatenate([f for i, f in enumerate(folds) if i != fold_idx])
-        return {
-            a: _fold_path_mse(values, yv, train_idx, val_idx, a, paths[a], tol, max_sweeps)
-            for a in alpha_grid
-        }
-
-    fold_mses = parallel_map(run_fold, range(k), threads=threads)
-
-    cell_alphas, cell_lambdas, cell_mean, cell_sd = [], [], [], []
-    for a in alpha_grid:
-        stacked = np.vstack([fm[a] for fm in fold_mses])
-        cell_alphas.extend([a] * paths[a].size)
-        cell_lambdas.extend(paths[a].tolist())
-        cell_mean.extend(stacked.mean(axis=0).tolist())
-        cell_sd.extend(stacked.std(axis=0).tolist())
-    cell_alphas = np.array(cell_alphas)
-    cell_lambdas = np.array(cell_lambdas)
-    cell_mean = np.array(cell_mean)
-    cell_sd = np.array(cell_sd)
+    n_cells = lams.size
+    fold_mses = np.empty((k, n_cells))
+    for f, val_idx in enumerate(folds):
+        pred = y_means[f] + path[f].reshape(n_cells, -1) @ (values[val_idx] - col_means[f]).T
+        fold_mses[f] = np.mean((pred - yv[val_idx]) ** 2, axis=1)
+    cell_alphas = np.repeat(np.array(alpha_grid, dtype=float), lams.shape[1])
+    cell_lambdas = lams.ravel()
+    cell_mean = fold_mses.mean(axis=0)
+    cell_sd = fold_mses.std(axis=0)
 
     def argbest(mses):
         # minimum MSE; ties resolved toward larger lambda, then larger alpha
@@ -506,10 +666,10 @@ def en_cv(
 
     fold_choices = []
     for fm in fold_mses:
-        flat = np.concatenate([fm[a] for a in alpha_grid])
-        j = argbest(flat)
+        j = argbest(fm)
         fold_choices.append((float(cell_alphas[j]), float(cell_lambdas[j])))
 
+    chosen_coefficients, chosen_steps = None, 0
     if selection_rule == "fold_average":
         chosen_alpha = float(np.mean([c[0] for c in fold_choices]))
         chosen_lambda = float(np.mean([c[1] for c in fold_choices]))
@@ -517,6 +677,9 @@ def en_cv(
         j = argbest(cell_mean)
         chosen_alpha = float(cell_alphas[j])
         chosen_lambda = float(cell_lambdas[j])
+        a, i = divmod(j, lams.shape[1])
+        chosen_coefficients = path[k, a, i].copy()
+        chosen_steps = int(steps[k, a, : i + 1].sum())
 
     return CvResult(
         alphas=cell_alphas,
@@ -527,22 +690,29 @@ def en_cv(
         chosen_lambda=chosen_lambda,
         fold_choices=tuple(fold_choices),
         selection_rule=selection_rule,
+        kkt_violation=float(cert.max()),
+        chosen_coefficients=chosen_coefficients,
+        chosen_steps=chosen_steps,
     )
 
 
-def fit_centered(x_rows, y_rows, alpha, lam, *, warm_start=None, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_STEPS):
-    """Fit on an arbitrary row subset by centering on that subset.
+def fit_centered(x, y, weights, alpha, lam, *, warm_start=None, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_STEPS):
+    """Fit at one (alpha, lambda) once per row of multiplicity weights.
 
     Used by bootstrap replicates, which refit at fixed hyperparameters on
-    resampled rows where exact column standardization no longer holds.
-    Returns ``(beta, col_means, y_mean)``; predictions for a raw row
-    ``x`` (on the same scale as ``x_rows``) are
-    ``y_mean + (x - col_means) @ beta``.
+    resampled rows where exact column standardization no longer holds:
+    row ``i`` enters fit ``b`` ``weights[b, i]`` times (``np.bincount`` of
+    the resampled indices), and each fit is centred on its own weighted
+    means.  All fits start from ``warm_start`` and are solved in one
+    :func:`_solve_stack` call.  Returns ``(beta, col_means, y_mean)``
+    stacked over the fits, shapes ``(B, p)``, ``(B, p)`` and ``(B,)``;
+    fit ``b`` predicts a raw row ``x_new`` (on the scale of ``x``) as
+    ``y_mean[b] + (x_new - col_means[b]) @ beta[b]``.
     """
-    xt = np.asarray(x_rows, dtype=float)
-    yt = np.asarray(y_rows, dtype=float)
-    col_means = xt.mean(axis=0)
-    y_mean = float(yt.mean())
-    xc = xt - col_means
-    beta, _, _ = _cd_solve(xc.T @ xc, xc.T @ (yt - y_mean), alpha, lam, warm_start, tol, max_sweeps)
-    return beta, col_means, y_mean
+    gram, xty, col_means, y_means = _centered_systems(
+        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.atleast_2d(weights)
+    )
+    path, _, _ = _solve_stack(
+        gram, xty, (alpha,), np.array([[lam]], dtype=float), warm_start, tol, max_sweeps
+    )
+    return path[:, 0, 0], col_means, y_means

@@ -216,6 +216,7 @@ class RcaResult:
     matrix: Matrix  # binary specialization matrix on the kept rows/cols
     dropped_locations: tuple
     dropped_occupations: tuple
+    kept_rows: np.ndarray  # positions of the matrix rows in the count tensor
 
 
 def rca_matrix(counts: CountTensor, flow: str) -> RcaResult:
@@ -244,6 +245,7 @@ def rca_matrix(counts: CountTensor, flow: str) -> RcaResult:
         ),
         dropped_locations=tuple(np.array(counts.location_ids)[~keep_rows]),
         dropped_occupations=tuple(np.array(counts.occupations)[~keep_cols]),
+        kept_rows=np.flatnonzero(keep_rows),
     )
 
 
@@ -610,7 +612,7 @@ def _eci_column(tensor: CountTensor, flow: str, results: dict) -> np.ndarray:
     if tensor.weighted[flow].any():
         rca = rca_matrix(tensor, flow)
         result = results[(tensor.level, flow)] = eci(rca.matrix)
-        out[[tensor.row(lid) for lid in rca.matrix.row_labels]] = result.eci
+        out[rca.kept_rows] = result.eci
     return out
 
 

@@ -177,18 +177,24 @@ def standardize(m) -> StandardizeResult:
     )
 
 
-def quantile(values, p: float) -> float:
-    """Linear-interpolation quantile: index ``p * (n - 1)`` into the sorted sample."""
+def quantile(values, p: float):
+    """Linear-interpolation quantile: index ``p * (n - 1)`` into the sorted sample.
+
+    A 1-D sample gives a float; a 2-D sample is taken column by column
+    (one sort) and gives one quantile per column, each equal to the
+    quantile of that column alone.
+    """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValidationError("quantile of an empty sample")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"quantile probability {p} outside [0, 1]")
-    v = np.sort(v)
-    h = p * (v.size - 1)
+    v = np.sort(v, axis=0)
+    h = p * (v.shape[0] - 1)
     lo = int(math.floor(h))
     hi = int(math.ceil(h))
-    return float(v[lo] + (h - lo) * (v[hi] - v[lo]))
+    q = v[lo] + (h - lo) * (v[hi] - v[lo])
+    return float(q) if v.ndim == 1 else q
 
 
 def _midranks(pooled: np.ndarray) -> np.ndarray:

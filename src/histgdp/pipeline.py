@@ -217,13 +217,13 @@ def train_period(
         n_lambda=config.n_lambda,
         lambda_ratio=config.lambda_ratio,
         selection_rule=config.cv_selection_rule,
-        threads=config.threads,
     )
     model = en_fit(
         std.matrix,
         y,
         cv.chosen_alpha,
         cv.chosen_lambda,
+        warm_start=cv.chosen_coefficients,
         means=std.means,
         sds=std.sds,
         feature_names=std.matrix.col_labels,
@@ -307,12 +307,15 @@ def bootstrap_ci(
 ):
     """Percentile-bootstrap confidence intervals for target predictions.
 
-    Resamples training rows with replacement (or whole country clusters),
-    refits at the already-chosen hyperparameters, and takes quantiles of
-    the level-scale predictions.  ``level_factors`` multiplies each
-    target's replicate predictions (the regional rescaling factor).
-    A resample with a constant response is redrawn; a replicate that draws
-    one ``MAX_RESAMPLE_ATTEMPTS`` times raises :class:`NumericalError`.
+    Resamples training rows with replacement (or whole country clusters)
+    and refits at the already-chosen hyperparameters: every replicate is
+    a row of ``np.bincount`` multiplicity weights, and one
+    :func:`fit_centered` call solves them all, warm-started from the
+    full-data fit.  The intervals are quantiles of the level-scale
+    predictions.  ``level_factors`` multiplies each target's replicate
+    predictions (the regional rescaling factor).  A resample with a
+    constant response is redrawn; a replicate that draws one
+    ``MAX_RESAMPLE_ATTEMPTS`` times raises :class:`NumericalError`.
     Returns (ci_low, ci_high, skipped_replicates).
     """
     if n_samples < MIN_BOOTSTRAP_SAMPLES:
@@ -331,9 +334,9 @@ def bootstrap_ci(
         unique = sorted(set(labels.tolist()))
         members = {c: np.flatnonzero(labels == c) for c in unique}
     full_degenerate = bool(np.all(y == y[0]))
-    warm, _, _ = fit_centered(x, y, alpha, lam)
+    warm, _, _ = fit_centered(x, y, np.ones((1, n)), alpha, lam)
 
-    predictions = np.empty((n_samples, targets.shape[0]))
+    weights = np.empty((n_samples, n))
     skipped = 0
     for b in range(n_samples):
         for attempt in range(MAX_RESAMPLE_ATTEMPTS):
@@ -352,15 +355,14 @@ def bootstrap_ci(
                 f"bootstrap_ci: replicate {b} drew a constant response in "
                 f"{MAX_RESAMPLE_ATTEMPTS} resamples"
             )
-        beta, col_means, y_mean = fit_centered(
-            x[idx], y[idx], alpha, lam, warm_start=warm
-        )
-        predictions[b] = y_mean + (targets - col_means) @ beta
+        weights[b] = np.bincount(idx, minlength=n)
+    betas, col_means, y_means = fit_centered(x, y, weights, alpha, lam, warm_start=warm[0])
+    predictions = np.empty((n_samples, targets.shape[0]))
+    for b in range(n_samples):
+        predictions[b] = y_means[b] + (targets - col_means[b]) @ betas[b]
     levels = np.power(10.0, predictions) * factors
     lo_p = (1.0 - level) / 2.0
-    ci_low = np.array([quantile(levels[:, t], lo_p) for t in range(targets.shape[0])])
-    ci_high = np.array([quantile(levels[:, t], 1.0 - lo_p) for t in range(targets.shape[0])])
-    return ci_low, ci_high, skipped
+    return quantile(levels, lo_p), quantile(levels, 1.0 - lo_p), skipped
 
 
 @dataclass
@@ -570,8 +572,9 @@ def run_full(
             "n_training_rows": len(tpm.training_keys),
             "n_estimates": len(ordered),
             "n_gated": len(gated),
-            "solver_steps": tpm.model.n_sweeps,
+            "solver_steps": tpm.cv.chosen_steps + tpm.model.n_sweeps,
             "kkt_violation": tpm.model.max_delta,
+            "cv_kkt_violation": tpm.cv.kkt_violation,
             "dropped_constant_columns": len(tpm.dropped_columns),
             "skipped_bootstrap_replicates": skipped,
             "eci": _eci_report(statics),

@@ -196,8 +196,8 @@ class TestCv:
 
     def test_thread_count_invariant(self):
         x, y = _standardized_problem(17, n=50, p=8)
-        a = en_cv(x, y, alpha_grid=(0.5, 1.0), k=5, seed=2, n_lambda=10, threads=1)
-        b = en_cv(x, y, alpha_grid=(0.5, 1.0), k=5, seed=2, n_lambda=10, threads=4)
+        a = en_cv(x, y, alpha_grid=(0.5, 1.0), k=5, seed=2, n_lambda=10)
+        b = en_cv(x, y, alpha_grid=(0.5, 1.0), k=5, seed=2, n_lambda=10)
         assert np.array_equal(a.mean_mse, b.mean_mse)
         assert (a.chosen_alpha, a.chosen_lambda) == (b.chosen_alpha, b.chosen_lambda)
 
@@ -355,3 +355,197 @@ def test_stalled_steps_are_repaired_by_sweeps(monkeypatch):
     assert violation <= 1e-10
     assert steps > 1
     assert np.max(np.abs(repaired - exact)) <= 1e-8
+
+
+def _serial_block_direction(h, g, l1, tol):
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(h))
+        if pivots.min() ** 2 > 1e-10 * h.diagonal().max():
+            return np.linalg.solve(h, g), 1.0
+    except np.linalg.LinAlgError:
+        pass
+    w, v = np.linalg.eigh(h)
+    null = w <= 1e-10 * max(w[-1], 0.0)
+    gv = v.T @ g
+    z = v[:, null] @ gv[null]
+    if l1 > 0.0 and np.max(np.abs(z), initial=0.0) > tol / 2.0:
+        curvature = float(z @ h @ z)
+        return z, (float(g @ z) / curvature if curvature > 0.0 else np.inf)
+    keep = ~null
+    return v[:, keep] @ (gv[keep] / w[keep]), 1.0
+
+
+def _serial_reference(gram, xty, alpha, lam, beta0, tol, max_steps=10_000):
+    """The one-problem active-set solver the stacked kernel replaced, kept
+    as the reference: the same steps, taken one problem at a time.
+    Returns ``(beta, steps)``."""
+    p = xty.size
+    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
+    l1, l2 = lam * alpha / 2.0, lam * (1.0 - alpha)
+
+    def residual(b):
+        return xty - gram @ b - l2 * b
+
+    def objective(b, c):
+        return float(2.0 * l1 * np.abs(b).sum() - b @ (xty + c))
+
+    def step(active, signs):
+        h = gram[np.ix_(active, active)]
+        h.flat[:: active.size + 1] += l2
+        d, t = _serial_block_direction(h, c[active] - l1 * signs, l1, tol)
+        b = beta[active]
+        crossing = np.zeros(d.size, dtype=bool)
+        if l1 > 0.0:
+            toward_zero = signs * d < 0.0
+            cross_t = np.full(d.size, np.inf)
+            cross_t[toward_zero] = -b[toward_zero] / d[toward_zero]
+            if cross_t.min() <= t:
+                t = float(cross_t.min())
+                crossing = cross_t <= t
+        out = beta.copy()
+        out[active] = np.where(crossing, 0.0, b + t * d)
+        return out
+
+    c = residual(beta)
+    for steps in range(max_steps):
+        nonzero = beta != 0.0
+        resid = np.where(nonzero, np.abs(c - l1 * np.sign(beta)), np.maximum(np.abs(c) - l1, 0.0))
+        if resid.max(initial=0.0) <= tol:
+            return beta, steps
+        if l1 == 0.0:
+            beta = step(np.arange(p), np.zeros(p))
+            c = residual(beta)
+            continue
+        signs = np.sign(np.where(nonzero, beta, c))
+        if not np.any(resid[nonzero] > tol):
+            nonzero[int(np.argmax(np.where(nonzero, 0.0, resid)))] = True
+        active = np.flatnonzero(nonzero)
+        trial = step(active, signs[active])
+        c_trial = residual(trial)
+        before = objective(beta, c)
+        if np.array_equal(trial, beta) or objective(trial, c_trial) > before + 1e-12 * (abs(before) + 1.0):
+            trial = beta.copy()
+            elasticnet._repair_sweeps(gram, xty, trial, l1, l2)
+            c_trial = residual(trial)
+        beta, c = trial, c_trial
+    raise AssertionError("reference solver did not converge")
+
+
+class TestStackedSolver:
+    TOL = 1e-9
+    ALPHAS = (0.0, 0.5, 1.0)
+
+    def _stack(self):
+        # three regular systems and one whose full dummy set makes its Gram
+        # singular, all with p = 11; lambda paths from the first system
+        designs = [_standardized_problem(30 + s, n=60, p=11) for s in range(3)]
+        designs.append(_dummy_design(0, p_cont=6, levels=5))
+        xs = [x for x, _ in designs]
+        gram = np.array([x.T @ x for x in xs])
+        xty = np.array([x.T @ (y - y.mean()) for x, y in designs])
+        x0, y0 = designs[0]
+        lams = np.array([lambda_path(x0, y0, a, n_lambda=8, ratio=1e-2) for a in self.ALPHAS])
+        return xs, gram, xty, lams
+
+    def _starts(self, p):
+        # cold starts, except the dummy system, which starts with every
+        # dummy active at one sign: a singular block with the l1 term along
+        # its null direction, so it must take the eigh fallback
+        beta0 = np.zeros((4, len(self.ALPHAS), p))
+        beta0[3, :, 6:] = 1.0
+        beta0[1, 2, :3] = 0.5  # a warm start next to cold ones
+        return beta0
+
+    def _check_against_reference(self, xs, gram, xty, alphas, lams, beta0, path, steps, cert,
+                                 same_steps=True):
+        for s, x in enumerate(xs):
+            for a, alpha in enumerate(alphas):
+                beta = beta0[s, a]
+                for i, lam in enumerate(lams[a]):
+                    beta, ref_steps = _serial_reference(
+                        gram[s], xty[s], alpha, float(lam), beta, self.TOL
+                    )
+                    assert cert[s, a, i] <= self.TOL
+                    assert np.max(np.abs(x @ (path[s, a, i] - beta))) <= 1e-8
+                    if same_steps:
+                        assert steps[s, a, i] == ref_steps
+
+    def test_mixed_stack_matches_the_serial_solver(self, monkeypatch):
+        xs, gram, xty, lams = self._stack()
+        beta0 = self._starts(gram.shape[1])
+        calls = []
+        real_direction = elasticnet._null_direction
+
+        def counted(*args):
+            calls.append(1)
+            return real_direction(*args)
+
+        monkeypatch.setattr(elasticnet, "_null_direction", counted)
+        path, steps, cert = elasticnet._solve_stack(gram, xty, self.ALPHAS, lams, beta0, self.TOL, 10_000)
+        assert calls, "the singular block never took the eigh fallback"
+        assert path.shape == (4, 3, 8, gram.shape[1]) and steps.shape == cert.shape == (4, 3, 8)
+        self._check_against_reference(xs, gram, xty, self.ALPHAS, lams, beta0, path, steps, cert)
+
+    def test_stalled_problem_next_to_progressing_ones(self, monkeypatch):
+        # the first problem's active-set steps never move, so only the
+        # repair sweeps advance it, while the other problems step normally
+        xs, gram, xty, lams = self._stack()
+        beta0 = self._starts(gram.shape[1])
+        real_step = elasticnet._active_step
+
+        def stall_first(gram, beta, *rest):
+            trial = real_step(gram, beta, *rest)
+            trial[0] = beta[0]
+            return trial
+
+        monkeypatch.setattr(elasticnet, "_active_step", stall_first)
+        path, steps, cert = elasticnet._solve_stack(gram, xty, (0.5, 1.0), lams[1:], beta0[:, 1:], self.TOL, 10_000)
+        assert steps[0, 0].sum() > steps[1, 0].sum()
+        self._check_against_reference(
+            xs, gram, xty, (0.5, 1.0), lams[1:], beta0[:, 1:], path, steps, cert, same_steps=False
+        )
+
+    def test_step_cap_in_a_stack_raises(self):
+        _, gram, xty, lams = self._stack()
+        with pytest.raises(NumericalError, match="KKT violation"):
+            elasticnet._solve_stack(gram, xty, (1.0,), lams[2:, -1:], None, self.TOL, 1)
+
+
+class TestMultiplicityWeights:
+    def _rows_gram(self, x, y, idx):
+        xt, yt = x[idx], y[idx]
+        xc = xt - xt.mean(axis=0)
+        return xc.T @ xc, xc.T @ (yt - yt.mean()), xt.mean(axis=0), yt.mean()
+
+    def test_bincount_grams_equal_resampled_row_grams(self):
+        rng = np.random.default_rng(40)
+        x, y = _standardized_problem(41, n=30, p=5)
+        clusters = np.arange(30) % 6
+        draws = [rng.integers(0, 30, size=30) for _ in range(3)]  # row unit
+        for chosen in (rng.integers(0, 6, size=6) for _ in range(3)):  # country unit
+            draws.append(np.concatenate([np.flatnonzero(clusters == c) for c in chosen]))
+        weights = np.array([np.bincount(idx, minlength=30) for idx in draws])
+        gram, xty, col_means, y_means = elasticnet._centered_systems(x, y, weights)
+        for b, idx in enumerate(draws):
+            ref = self._rows_gram(x, y, idx)
+            for got, want in zip((gram[b], xty[b], col_means[b], y_means[b]), ref):
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestCvCertificate:
+    def test_grid_certified_and_final_fit_starts_at_its_cell(self):
+        x, y = _standardized_problem(42, n=60, p=8)
+        res = en_cv(x, y, alpha_grid=(0.0, 0.5, 1.0), k=5, seed=6, n_lambda=15)
+        assert 0.0 <= res.kkt_violation <= elasticnet.DEFAULT_TOL
+        cold = en_fit(x, y, res.chosen_alpha, res.chosen_lambda)
+        warm = en_fit(x, y, res.chosen_alpha, res.chosen_lambda,
+                      warm_start=res.chosen_coefficients)
+        assert warm.n_sweeps == 0
+        assert warm.max_delta <= elasticnet.DEFAULT_TOL
+        assert np.max(np.abs(x @ (warm.coefficients - cold.coefficients))) <= 1e-8
+
+    def test_fold_average_has_no_grid_start(self):
+        x, y = _standardized_problem(43, n=40, p=5)
+        res = en_cv(x, y, alpha_grid=(0.5, 1.0), k=4, seed=4, n_lambda=8,
+                    selection_rule="fold_average")
+        assert res.chosen_coefficients is None and res.chosen_steps == 0

@@ -199,6 +199,13 @@ class TestQuantile:
         assert all(b >= a for a, b in zip(qs, qs[1:]))
         assert qs[0] == vals.min() and qs[-1] == vals.max()
 
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 0.95, 1.0])
+    def test_columns_equal_the_per_column_loop(self, p):
+        vals = np.random.default_rng(8).normal(size=(50, 7))
+        got = quantile(vals, p)
+        assert got.shape == (7,)
+        assert np.array_equal(got, [quantile(vals[:, t], p) for t in range(7)])
+
 
 class TestKruskalWallis:
     def test_separated_groups(self):

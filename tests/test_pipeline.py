@@ -262,6 +262,11 @@ class TestRunFull:
             assert entry["solver_steps"] >= 1
             assert 0.0 <= entry["kkt_violation"] <= DEFAULT_TOL
 
+    def test_report_certifies_the_cv_grid(self, small_run):
+        fitted = [e for e in small_run.report["periods"].values() if "skipped" not in e]
+        for entry in fitted:
+            assert 0.0 <= entry["cv_kkt_violation"] <= DEFAULT_TOL
+
     def test_source_rows_pass_through(self, small_world, small_run):
         by_key = {}
         for e in small_run.estimates:
