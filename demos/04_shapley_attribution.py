@@ -16,7 +16,7 @@ from histgdp.explain import (
     shapley_linear_exact,
     shapley_permutation,
 )
-from histgdp.pipeline import run_full
+from histgdp.pipeline import fit_periods
 from histgdp.synthetic import make_synthetic_world
 
 world = make_synthetic_world(
@@ -31,9 +31,11 @@ world = make_synthetic_world(
 config = RunConfig(alpha_grid=(0.5, 1.0), n_lambda=12, lambda_ratio=1e-2,
                    k_folds=3, seed=1)
 
-models = {}
-run_full(world.dataset, config, with_bootstrap=False, model_sink=models)
-tpm, fm = models["early_modern"]
+fits = {
+    fit.period.period_id: fit
+    for fit in fit_periods(world.dataset, config, world.dataset.source_levels, {}, config.seed)
+}
+tpm, fm = fits["early_modern"].model, fits["early_modern"].features
 labeled = fm.subset(list(tpm.training_keys))
 print(f"=== early_modern model: {len(tpm.model.selected_features)} features selected ===")
 

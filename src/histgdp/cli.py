@@ -31,6 +31,7 @@ from .evaluation import (
 from .explain import run_explain, write_importance_csv, write_shapley_csv
 from .features import write_feature_csv
 from .pipeline import (
+    fit_periods,
     read_estimates_csv,
     run_full,
     write_estimates_csv,
@@ -161,11 +162,13 @@ def cmd_validate(config) -> int:
 def cmd_features(config) -> int:
     out = _outdir(config)
     dataset = _load(config)
-    sink: dict = {}
-    run_full(dataset, config, with_bootstrap=False, feature_sink=sink)
-    for year, fm in sorted(sink.items()):
-        write_feature_csv(fm, out / f"feature_matrix_{year}.csv")
-    print(f"wrote {len(sink)} feature matrices to {out}", file=sys.stderr)
+    n_written = 0
+    for fit in fit_periods(dataset, config, dataset.source_levels, {}, config.seed):
+        for year in fit.period.snapshots:
+            year_keys = [k for k in fit.features.row_keys if k[1] == year]
+            write_feature_csv(fit.features.subset(year_keys), out / f"feature_matrix_{year}.csv")
+            n_written += 1
+    print(f"wrote {n_written} feature matrices to {out}", file=sys.stderr)
     return 0
 
 

@@ -655,14 +655,9 @@ def en_cv(
     cell_sd = fold_mses.std(axis=0)
 
     def argbest(mses):
-        # minimum MSE; ties resolved toward larger lambda, then larger alpha
-        best = 0
-        for i in range(1, mses.size):
-            key_i = (mses[i], -cell_lambdas[i], -cell_alphas[i])
-            key_b = (mses[best], -cell_lambdas[best], -cell_alphas[best])
-            if key_i < key_b:
-                best = i
-        return best
+        # minimum MSE; ties resolved toward larger lambda, then larger alpha,
+        # then the first cell (lexsort is stable)
+        return int(np.lexsort((-cell_alphas, -cell_lambdas, mses))[0])
 
     fold_choices = []
     for fm in fold_mses:

@@ -5,9 +5,11 @@ regions, tunes the elastic net by cross-validation on the remaining
 countries only, fits the baseline and the full model, and scores both on
 the withheld rows.  Hyperparameter tuning never sees a test row, and the
 lag-fill hierarchy is restricted to training-visible labels, so a test
-country's income enters only as ground truth.  Baseline and full models
-chain their previous-period estimates through separate stores, mirroring
-how each would be used on its own.
+country's income enters only as ground truth.  The full model runs the
+estimation loop itself, :func:`pipeline.fit_periods`, so its lag column
+chains through the rescaled levels exactly as ``estimate``'s does; it is
+scored on its own prediction before rescaling.  The baseline chains its
+previous-period estimates through its own store.
 """
 
 from __future__ import annotations
@@ -23,16 +25,12 @@ import numpy as np
 from .config import RunConfig
 from .data_ingest import Dataset, LocationTable
 from .errors import HistGdpError, ValidationError
-from .features import build_static_features, initial_gdp
+from .features import initial_gdp
 from .numerics import kruskal_wallis, mae_relative, pearson, quantile, r2_log
-from .pipeline import (
-    PERIODS,
-    GatingPolicy,
-    _build_period_features,
-    fit_baseline,
-    predict_gated,
-    train_period,
-)
+from .pipeline import PERIODS, build_statics, fit_baseline, fit_periods
+# benchmarks/tracing.py wraps these names under this module
+from .features import build_static_features  # noqa: F401
+from .pipeline import predict_gated, train_period  # noqa: F401
 from .rng import child_seed, parallel_map
 
 MIN_COUNTRIES = 5
@@ -134,12 +132,9 @@ def run_single_split(
     statics: dict,
     split_index: int,
     master_seed: int,
-    policy: GatingPolicy | None = None,
 ) -> SplitMetrics:
     """One split of the protocol: hold out countries, tune, fit, score."""
     locations = dataset.locations
-    if policy is None:
-        policy = GatingPolicy.from_config(config)
     split_seed = child_seed(master_seed, "split", split_index)
     spec = split_countries(
         locations.countries(), config.test_fraction, split_seed, locations
@@ -149,104 +144,69 @@ def run_single_split(
     train_source = {k: v for k, v in source.items() if k[0] not in test_locs}
     test_keys = {k for k in source if k[0] in test_locs}
 
-    en_store: dict = {}
     base_store: dict = {}
-    en_log, base_log, obs_log = [], [], []
-    per_period_pairs: dict = {}
+    scored: dict = {}  # period id -> [(full, baseline, observed) in log10]
     n_gated_test = 0
-    completed: list = []
-    train_years = {year for (_, year) in train_source}
 
-    for index, period in enumerate(PERIODS):
-        if not train_years & set(period.snapshots):
-            completed.append(period.period_id)
-            continue
-        fm, _ = _build_period_features(
-            period, dataset, config, en_store,
-            statics_cache=statics, source_levels=train_source,
-        )
-        labels_train = {k: train_source[k] for k in fm.row_keys if k in train_source}
+    for fit in fit_periods(dataset, config, train_source, statics, split_seed):
+        period = fit.period
         # no-leakage guarantee: the tuning matrix rows are disjoint from test keys
-        leaked = set(labels_train) & test_keys
+        leaked = set(fit.labels) & test_keys
         if leaked:
             raise ValidationError(
                 f"run_single_split: {len(leaked)} test row(s) reached the tuning "
                 f"matrix, first {min(leaked)}"
             )
-        tpm = train_period(
-            period, fm, labels_train, config,
-            completed_periods=tuple(completed),
-            seed=child_seed(split_seed, "cv", index),
-        )
 
-        base_keys = sorted(labels_train)
-        y_train = [math.log10(labels_train[k]) for k in base_keys]
-        if period.prev_end is None:
-            base_init = None
-        else:
-            base_init = [
-                initial_gdp(lid, period.prev_end, train_source, base_store, locations)[0]
-                for (lid, _) in base_keys
-            ]
+        def base_lag(lid):
+            if period.prev_end is None:
+                return None
+            return initial_gdp(lid, period.prev_end, train_source, base_store, locations)[0]
+
+        base_keys = sorted(fit.labels)
+        y_train = [math.log10(fit.labels[k]) for k in base_keys]
+        base_init = None if period.prev_end is None else [base_lag(lid) for lid, _ in base_keys]
         baseline = fit_baseline(base_keys, y_train, base_init, locations, period)
-
-        def gate_counts(key):
-            return statics[key[1]].gate_counts(key[0])
-
-        candidates = [k for k in fm.row_keys if k not in train_source]
-        en_preds, gated = predict_gated(tpm, fm, candidates, gate_counts, policy)
-        base_preds = {}
-        for lid, year in sorted(en_preds):
-            init_val = (
-                None
-                if period.prev_end is None
-                else initial_gdp(lid, period.prev_end, train_source, base_store, locations)[0]
-            )
-            base_preds[(lid, year)] = baseline.predict_one(
-                locations.supra_of(lid), year, init_val
-            )
-        en_store.update({k: 10.0 ** v for k, v in en_preds.items()})
+        # the full model is scored on its own prediction, before regional rescaling
+        en_preds = fit.predictions
+        base_preds = {
+            (lid, year): baseline.predict_one(locations.supra_of(lid), year, base_lag(lid))
+            for lid, year in sorted(en_preds)
+        }
         base_store.update({k: 10.0 ** v for k, v in base_preds.items()})
 
-        gated_set = set(gated)
+        gated_set = set(fit.gated)
         for key in sorted(k for k in test_keys if k[1] in period.snapshots):
             if key in gated_set:
                 n_gated_test += 1
-                continue
-            if key not in en_preds:
-                continue
-            en_log.append(en_preds[key])
-            base_log.append(base_preds[key])
-            obs_log.append(math.log10(source[key]))
-            per_period_pairs.setdefault(period.period_id, []).append(
-                (en_preds[key], math.log10(source[key]))
-            )
-        completed.append(period.period_id)
+            elif key in en_preds:
+                scored.setdefault(period.period_id, []).append(
+                    (en_preds[key], base_preds[key], math.log10(source[key]))
+                )
 
-    if len(obs_log) < MIN_TEST_ROWS:
+    rows = [row for rs in scored.values() for row in rs]
+    if len(rows) < MIN_TEST_ROWS:
         return SplitMetrics(
             split_index=split_index,
             seed=split_seed,
-            n_test_rows=len(obs_log),
+            n_test_rows=len(rows),
             n_gated_test=n_gated_test,
-            failed=f"only {len(obs_log)} usable test rows (< {MIN_TEST_ROWS})",
+            failed=f"only {len(rows)} usable test rows (< {MIN_TEST_ROWS})",
         )
+    en_log, base_log, obs_log = (np.array(column) for column in zip(*rows))
     obs_level = np.power(10.0, obs_log)
     per_period_mae = {
-        pid: mae_relative(
-            np.power(10.0, [p for p, _ in pairs]), np.power(10.0, [o for _, o in pairs])
-        )
-        for pid, pairs in per_period_pairs.items()
-        if pairs
+        pid: mae_relative(np.power(10.0, [r[0] for r in rs]), np.power(10.0, [r[2] for r in rs]))
+        for pid, rs in scored.items()
     }
     return SplitMetrics(
         split_index=split_index,
         seed=split_seed,
-        r2_baseline=r2_log(np.array(base_log), np.array(obs_log)),
-        r2_full=r2_log(np.array(en_log), np.array(obs_log)),
+        r2_baseline=r2_log(base_log, obs_log),
+        r2_full=r2_log(en_log, obs_log),
         mae_baseline=mae_relative(np.power(10.0, base_log), obs_level),
         mae_full=mae_relative(np.power(10.0, en_log), obs_level),
-        n_test_rows=len(obs_log),
+        n_test_rows=len(rows),
         n_gated_test=n_gated_test,
         per_period_mae_full=per_period_mae,
     )
@@ -270,28 +230,14 @@ def evaluate_models(
         n_splits = config.n_splits
     if master_seed is None:
         master_seed = config.seed
-    policy = GatingPolicy.from_config(config)
     labeled_years = {year for (_, year) in dataset.source_levels}
-    if statics is None:
-        statics = {}
-    for period in PERIODS:
-        if labeled_years & set(period.snapshots):
-            for year in period.snapshots:
-                if year in statics:
-                    continue
-                statics[year] = build_static_features(
-                    year,
-                    dataset,
-                    window_years=config.window_years,
-                    scale=config.scale,
-                    reference_year=config.reference_year_for_age,
-                )
+    years = [y for p in PERIODS if labeled_years & set(p.snapshots) for y in p.snapshots]
+    # built before the splits start, so their threads only read the cache
+    statics = build_statics(dataset, config, years, {} if statics is None else statics)
 
     def one(split_index):
         try:
-            return run_single_split(
-                dataset, config, statics, split_index, master_seed, policy
-            )
+            return run_single_split(dataset, config, statics, split_index, master_seed)
         except HistGdpError as err:  # an expected failure; bugs still raise
             return SplitMetrics(
                 split_index=split_index,

@@ -213,13 +213,11 @@ def run_explain(dataset, config) -> dict:
     Returns {period_id: (attributions, ranking)} with the period's own
     labeled feature rows as the background distribution.
     """
-    from .pipeline import run_full
+    from .pipeline import fit_periods
 
-    models: dict = {}
-    run_full(dataset, config, with_bootstrap=False, model_sink=models)
     out = {}
-    for period_id, (tpm, fm) in models.items():
-        labeled = fm.subset(list(tpm.training_keys))
-        attributions = attribute_rows(tpm.model, labeled, background=labeled)
-        out[period_id] = (attributions, rank_features(attributions))
+    for fit in fit_periods(dataset, config, dataset.source_levels, {}, config.seed):
+        labeled = fit.features.subset(list(fit.model.training_keys))
+        attributions = attribute_rows(fit.model.model, labeled, background=labeled)
+        out[fit.period.period_id] = (attributions, rank_features(attributions))
     return out

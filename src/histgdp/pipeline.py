@@ -3,11 +3,13 @@ hierarchy, gated prediction, regional rescaling, and bootstrap intervals.
 
 Periods run strictly in chronological order because each period's
 ``init_gdp`` feature draws on the previous period's source data and model
-estimates.  Within a period the steps are: build features for every
-snapshot year, train the elastic net on the labeled rows, predict the
-unlabeled location-years that pass the gating thresholds, rescale regional
-estimates to their country values, and attach percentile-bootstrap
-confidence intervals.
+estimates.  :func:`fit_periods` is that loop, shared by estimation, the
+held-out evaluation, the feature export and the attributions.  Within a
+period it builds features for every snapshot year, trains the elastic net
+on the labeled rows, predicts the unlabeled location-years that pass the
+gating thresholds and rescales regional estimates to their country
+values; :func:`run_full` then attaches percentile-bootstrap confidence
+intervals.
 """
 
 from __future__ import annotations
@@ -365,72 +367,143 @@ def bootstrap_ci(
     return quantile(levels, lo_p), quantile(levels, 1.0 - lo_p), skipped
 
 
+def build_statics(dataset: Dataset, config: RunConfig, years, statics: dict) -> dict:
+    """Add the label-independent feature block of every year missing from
+    ``statics`` and return it; blocks already there are kept."""
+    for year in years:
+        if year not in statics:
+            statics[year] = build_static_features(
+                year, dataset, window_years=config.window_years, scale=config.scale,
+                reference_year=config.reference_year_for_age,
+            )
+    return statics
+
+
+@dataclass(frozen=True)
+class PeriodFit:
+    """One fitted period of :func:`fit_periods`.
+
+    ``features`` stacks the period's snapshot years, lag column included;
+    ``statics`` maps each of those years to its label-independent block;
+    ``labels`` are the training levels.  ``predictions`` holds the model's
+    log10 value for every candidate row that passed the gate, before
+    rescaling, and ``gated`` the rows that did not.  ``levels`` holds the
+    same rows after regional rescaling, with their ``factors`` (1.0 where
+    none applied).  ``proxy_weights`` maps each rescaled regional row to its
+    birth+death weight; ``n_unrescaled_regions`` counts the regional rows
+    whose country had no value to rescale to.
+    """
+
+    period: Period
+    features: FeatureMatrix
+    statics: dict
+    labels: dict
+    model: TrainedPeriodModel
+    gated: list
+    predictions: dict
+    levels: dict
+    factors: dict
+    proxy_weights: dict
+    n_unrescaled_regions: int
+
+
+def fit_periods(dataset: Dataset, config: RunConfig, source: dict, statics: dict, seed: int):
+    """The chronological period loop; yields a :class:`PeriodFit` per period
+    that has a labeled row in ``source``.
+
+    Features come from the ``statics`` cache (see :func:`build_statics`),
+    with the lag column filled from ``source`` and from the earlier
+    periods' rescaled levels.  Period ``i`` is tuned at
+    ``child_seed(seed, "cv", i)``, predicts the rows outside ``source`` that
+    pass the gate, and rescales regional estimates to their country's value
+    (from ``source``, else the country's estimate).  The rescaled levels
+    enter the lag store before the period is yielded.  ``source`` is every
+    level the loop may see: the whole dataset's for ``run_full``, the
+    training countries' for a held-out split.
+    """
+    locations = dataset.locations
+    policy = GatingPolicy.from_config(config)
+    labeled_years = {year for (_, year) in source}
+    store: dict = {}  # earlier periods' rescaled levels, for the lag column
+    completed: list = []
+    for index, period in enumerate(PERIODS):
+        if not labeled_years & set(period.snapshots):
+            completed.append(period.period_id)
+            continue
+        build_statics(dataset, config, period.snapshots, statics)
+        parts = [
+            statics[year].matrix if period.prev_end is None
+            else attach_initial_gdp(statics[year], period.prev_end, source, store, locations)
+            for year in period.snapshots
+        ]
+        fm = replace(stack_features(parts), period=period.period_id)
+        labels = {k: source[k] for k in fm.row_keys if k in source}
+        tpm = train_period(
+            period, fm, labels, config,
+            completed_periods=tuple(completed),
+            seed=child_seed(seed, "cv", index),
+        )
+
+        def gate_counts(key):
+            return statics[key[1]].gate_counts(key[0])
+
+        candidate_keys = [k for k in fm.row_keys if k not in source]
+        predictions, gated = predict_gated(tpm, fm, candidate_keys, gate_counts, policy)
+
+        # regional rescaling against the country value (source wins)
+        levels = {k: 10.0 ** v for k, v in predictions.items()}
+        factors = {k: 1.0 for k in levels}
+        proxy_weights: dict = {}
+        n_unrescaled = 0
+        regional_groups: dict = {}  # (country, year) -> {regional key: level}
+        for (lid, year), v in levels.items():
+            if locations.get(lid).level == "region":
+                regional_groups.setdefault((locations.country_of(lid), year), {})[(lid, year)] = v
+        for (country, year), regional in sorted(regional_groups.items()):
+            country_value = source.get((country, year))
+            if country_value is None:
+                country_value = levels.get((country, year))
+            if country_value is None:
+                n_unrescaled += len(regional)
+                continue
+            weights = {key: sum(gate_counts(key)) for key in regional}
+            rescaled, c = rescale_regions(regional, country_value, weights)
+            for key, value in rescaled.items():
+                levels[key] = value
+                factors[key] = c
+                proxy_weights[key] = weights[key]
+        store.update(levels)
+        completed.append(period.period_id)
+        yield PeriodFit(
+            period=period,
+            features=fm,
+            statics={year: statics[year] for year in period.snapshots},
+            labels=labels,
+            model=tpm,
+            gated=gated,
+            predictions=predictions,
+            levels=levels,
+            factors=factors,
+            proxy_weights=proxy_weights,
+            n_unrescaled_regions=n_unrescaled,
+        )
+
+
 @dataclass
 class RunResult:
     estimates: list
     report: dict
 
 
-def _build_period_features(
-    period, dataset, config, model_levels, statics_cache=None, source_levels=None
-):
-    """Stacked features for a period's snapshot years, with the lag column
-    attached from the previous period's end year (omitted for the earliest
-    period).  ``source_levels`` restricts the visible labels (the
-    evaluation harness hides its test countries here)."""
-    if source_levels is None:
-        source_levels = dataset.source_levels
-    parts = []
-    statics = {}
-    for year in period.snapshots:
-        if statics_cache is not None and year in statics_cache:
-            static = statics_cache[year]
-        else:
-            static = build_static_features(
-                year,
-                dataset,
-                window_years=config.window_years,
-                scale=config.scale,
-                reference_year=config.reference_year_for_age,
-            )
-            if statics_cache is not None:
-                statics_cache[year] = static
-        statics[year] = static
-        if period.prev_end is None:
-            parts.append(static.matrix)
-        else:
-            parts.append(
-                attach_initial_gdp(
-                    static, period.prev_end, source_levels, model_levels,
-                    dataset.locations,
-                )
-            )
-    fm = stack_features(parts)
-    return replace(fm, period=period.period_id), statics
-
-
-def run_full(
-    dataset: Dataset,
-    config: RunConfig,
-    *,
-    with_bootstrap: bool = True,
-    feature_sink: dict | None = None,
-    model_sink: dict | None = None,
-    statics_cache: dict | None = None,
-) -> RunResult:
+def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
     """Run the whole estimation and return estimates plus the run report.
 
     Source observations pass through with ``kind = source``; gated
-    location-years are listed in the report instead of the output.
-    ``feature_sink``/``model_sink`` collect the per-year feature matrices
-    and per-period trained models for the export and attribution commands;
-    ``with_bootstrap=False`` skips interval construction (estimates then
-    carry zero-width intervals flagged in the report).  ``statics_cache``
-    lets repeated runs on one dataset share the label-independent feature
-    blocks; the cache must have been built with the same feature settings.
+    location-years are listed in the report instead of the output.  Each
+    period of :func:`fit_periods` gets percentile-bootstrap intervals on
+    its rescaled levels.
     """
     locations = dataset.locations
-    policy = GatingPolicy.from_config(config)
     source = dataset.source_levels
 
     estimates: list[EstimateRecord] = []
@@ -446,84 +519,35 @@ def run_full(
             )
         )
 
-    model_levels: dict = {}
-    report_periods: dict = {}
+    labeled_years = {year for (_, year) in source}
+    report_periods: dict = {
+        p.period_id: {"skipped": "no labeled rows"}
+        for p in PERIODS
+        if not labeled_years & set(p.snapshots)
+    }
     gated_keys: list = []
-    completed: list = []
     proxy_weights: dict = {}
     provenance_counts: dict = {}
-    n_rescaled = 0
     n_unrescaled_regions = 0
     n_skipped_replicates = 0
     n_age_imputed = 0
 
-    labeled_years = {year for (_, year) in source}
-    for period in PERIODS:
-        if not labeled_years & set(period.snapshots):
-            report_periods[period.period_id] = {"skipped": "no labeled rows"}
-            completed.append(period.period_id)
-            continue
-
-        fm, statics = _build_period_features(
-            period, dataset, config, model_levels, statics_cache=statics_cache
-        )
+    for fit in fit_periods(dataset, config, source, {}, config.seed):
+        period, fm, tpm = fit.period, fit.features, fit.model
         n_age_imputed += sum(len(v) for v in fm.flags.values())
-        if feature_sink is not None:
-            for year in period.snapshots:
-                year_keys = [k for k in fm.row_keys if k[1] == year]
-                feature_sink[year] = fm.subset(year_keys)
-        labels = {
-            k: source[k] for k in fm.row_keys if k in source
-        }
-        tpm = train_period(period, fm, labels, config, completed_periods=tuple(completed))
-        if model_sink is not None:
-            model_sink[period.period_id] = (tpm, fm)
-
-        def gate_counts(key):
-            lid, year = key
-            return statics[year].gate_counts(lid)
-
-        candidate_keys = [k for k in fm.row_keys if k not in source]
-        predictions, gated = predict_gated(tpm, fm, candidate_keys, gate_counts, policy)
-        gated_keys.extend(gated)
-
-        # regional rescaling against the country value (source wins)
-        levels = {k: 10.0 ** v for k, v in predictions.items()}
-        factors = {k: 1.0 for k in levels}
-        rescaled_flags = {k: False for k in levels}
-        regional_groups: dict = {}  # (country, year) -> {regional key: level}
-        for (lid, year), v in levels.items():
-            if locations.get(lid).level == "region":
-                group = regional_groups.setdefault((locations.country_of(lid), year), {})
-                group[(lid, year)] = v
-        for (country, year), regional in sorted(regional_groups.items()):
-            country_value = source.get((country, year))
-            if country_value is None:
-                country_value = levels.get((country, year))
-            if country_value is None:
-                n_unrescaled_regions += len(regional)
-                continue
-            weights = {}
-            for (lid, yr) in regional:
-                births, deaths = statics[yr].gate_counts(lid)
-                weights[(lid, yr)] = births + deaths
-            rescaled, c = rescale_regions(regional, country_value, weights)
-            for key, value in rescaled.items():
-                levels[key] = value
-                factors[key] = c
-                rescaled_flags[key] = True
-                proxy_weights[key] = weights[key]
-            n_rescaled += len(rescaled)
+        gated_keys.extend(fit.gated)
+        proxy_weights.update(fit.proxy_weights)
+        n_unrescaled_regions += fit.n_unrescaled_regions
 
         # bootstrap intervals on the final (rescaled) level scale
-        ordered = sorted(levels)
-        ci_by_key = {k: (levels[k], levels[k]) for k in ordered}
+        ordered = sorted(fit.levels)
+        ci_low = ci_high = ()
         skipped = 0
-        if ordered and with_bootstrap:
+        if ordered:
             x_std = (
                 _model_matrix(tpm, fm, tpm.training_keys) - tpm.model.means
             ) / tpm.model.sds
-            y_train = np.array([math.log10(labels[k]) for k in tpm.training_keys])
+            y_train = np.array([math.log10(fit.labels[k]) for k in tpm.training_keys])
             target_std = (
                 _model_matrix(tpm, fm, ordered) - tpm.model.means
             ) / tpm.model.sds
@@ -541,12 +565,11 @@ def run_full(
                 seed=child_seed(config.seed, "bootstrap", PERIODS.index(period)),
                 unit=config.bootstrap_unit,
                 clusters=clusters,
-                level_factors=[factors[k] for k in ordered],
+                level_factors=[fit.factors[k] for k in ordered],
             )
-            ci_by_key = {k: (ci_low[i], ci_high[i]) for i, k in enumerate(ordered)}
         n_skipped_replicates += skipped
 
-        for key in ordered:
+        for i, key in enumerate(ordered):
             lid, year = key
             prov = fm.init_provenance.get(key, "")
             provenance_counts[prov] = provenance_counts.get(prov, 0) + 1
@@ -554,15 +577,14 @@ def run_full(
                 EstimateRecord(
                     location_id=lid,
                     year=year,
-                    gdp_pc=levels[key],
-                    ci_low=float(ci_by_key[key][0]),
-                    ci_high=float(ci_by_key[key][1]),
+                    gdp_pc=fit.levels[key],
+                    ci_low=float(ci_low[i]),
+                    ci_high=float(ci_high[i]),
                     kind="estimate",
-                    rescaled=rescaled_flags[key],
+                    rescaled=key in fit.proxy_weights,
                     init_gdp_provenance=prov,
                 )
             )
-            model_levels[key] = levels[key]
 
         report_periods[period.period_id] = {
             "alpha": tpm.model.alpha,
@@ -571,26 +593,24 @@ def run_full(
             "n_candidates": len(tpm.feature_names),
             "n_training_rows": len(tpm.training_keys),
             "n_estimates": len(ordered),
-            "n_gated": len(gated),
+            "n_gated": len(fit.gated),
             "solver_steps": tpm.cv.chosen_steps + tpm.model.n_sweeps,
             "kkt_violation": tpm.model.max_delta,
             "cv_kkt_violation": tpm.cv.kkt_violation,
             "dropped_constant_columns": len(tpm.dropped_columns),
             "skipped_bootstrap_replicates": skipped,
-            "eci": _eci_report(statics),
+            "eci": _eci_report(fit.statics),
         }
-        completed.append(period.period_id)
 
     estimates.sort(key=lambda e: (e.location_id, e.year))
     audit = audit_rescaling(estimates, locations, proxy_weights)
     report = {
         "config": config.echo(),
-        "bootstrap_enabled": with_bootstrap,
         "counts": {
             "source": sum(1 for e in estimates if e.kind == "source"),
             "estimates": sum(1 for e in estimates if e.kind == "estimate"),
             "gated": len(gated_keys),
-            "rescaled": n_rescaled,
+            "rescaled": len(proxy_weights),
             "unrescaled_regions": n_unrescaled_regions,
             "skipped_bootstrap_replicates": n_skipped_replicates,
             "avg_age_imputed_rows": n_age_imputed,

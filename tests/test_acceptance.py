@@ -30,7 +30,7 @@ from histgdp.features import (
     stack_features,
 )
 from histgdp.numerics import Matrix, ols_fit, spearman, standardize, svd
-from histgdp.pipeline import PERIODS, bootstrap_ci, run_full
+from histgdp.pipeline import PERIODS, bootstrap_ci, fit_periods, run_full
 from histgdp.rng import child_seed
 from histgdp.synthetic import make_synthetic_world, write_world_csv
 
@@ -331,14 +331,12 @@ class TestCriterion7SyntheticRecovery:
             ):
                 r2_wins += 1
 
-            models: dict = {}
-            run_full(
-                world40.dataset, config, with_bootstrap=False,
-                model_sink=models, statics_cache=statics40,
-            )
             scores: dict = {}
             counts: dict = {}
-            for _pid, (tpm, fm) in models.items():
+            for fit in fit_periods(
+                world40.dataset, config, world40.dataset.source_levels, statics40, master
+            ):
+                tpm, fm = fit.model, fit.features
                 atts = attribute_rows(tpm.model, fm.subset(list(tpm.training_keys)))
                 mean_abs = np.mean([np.abs(a.phi) for a in atts], axis=0)
                 for name, val in zip(tpm.model.feature_names, mean_abs):

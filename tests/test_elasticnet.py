@@ -228,6 +228,19 @@ class TestCv:
                 hits += 1
         assert hits >= 95
 
+    def test_mse_ties_go_to_larger_lambda_then_larger_alpha(self):
+        # a pure-noise response: the top of each alpha's path is all-zero in
+        # every fold, so those cells predict the fold mean and tie on MSE
+        x, y = _standardized_problem(7, n=40, p=6)
+        res = en_cv(x, y, alpha_grid=(0.25, 0.5, 1.0), k=4, seed=0, n_lambda=8,
+                    lambda_ratio=1e-2)
+        assert np.sum(res.mean_mse == res.mean_mse.min()) >= 2
+        best = min(
+            range(res.mean_mse.size),
+            key=lambda i: (res.mean_mse[i], -res.lambdas[i], -res.alphas[i]),
+        )
+        assert (res.chosen_alpha, res.chosen_lambda) == (res.alphas[best], res.lambdas[best])
+
     def test_fold_average_rule(self):
         x, y = _standardized_problem(19, n=40, p=5)
         res = en_cv(x, y, alpha_grid=(0.5, 1.0), k=4, seed=4, n_lambda=8,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from histgdp.data_ingest import Location, LocationTable
-from histgdp import evaluation
+from histgdp.data_ingest import Dataset, Location, LocationTable
+from histgdp import evaluation, pipeline
 from histgdp.errors import NumericalError, ValidationError
 from histgdp.evaluation import (
     SplitMetrics,
@@ -16,7 +16,8 @@ from histgdp.evaluation import (
     write_evaluation_summary,
 )
 from histgdp.features import build_static_features
-from histgdp.pipeline import EstimateRecord, GatingPolicy
+from histgdp.numerics import mae_relative
+from histgdp.pipeline import EstimateRecord, fit_periods, predict_log10
 from histgdp.rng import child_seed
 from conftest import small_test_config
 
@@ -112,9 +113,7 @@ class TestEvaluateModels:
             year: build_static_features(year, small_world.dataset)
             for year in (1300, 1350, 1400, 1450, 1500, 1550, 1600, 1650, 1700, 1750)
         }
-        manual = run_single_split(
-            small_world.dataset, config, statics, 0, 9, GatingPolicy.from_config(config)
-        )
+        manual = run_single_split(small_world.dataset, config, statics, 0, 9)
         auto = dist.splits[0]
         assert auto.seed == manual.seed == child_seed(9, "split", 0)
         assert auto.r2_full == manual.r2_full
@@ -158,6 +157,73 @@ class TestEvaluateModels:
         spec = split_countries(locations.countries(), 0.25, seed=2, locations=locations)
         for region in (r for c in spec.test_countries for r in locations.regions_of(c)):
             assert region in spec.test_locations
+
+
+def _training_dataset(dataset, config, split_seed):
+    """The dataset a held-out split may see: its test locations' GDP removed."""
+    spec = split_countries(
+        dataset.locations.countries(), config.test_fraction, split_seed, dataset.locations
+    )
+    gdp = [o for o in dataset.gdp if o.location_id not in spec.test_locations]
+    return Dataset(dataset.records, dataset.locations, gdp), spec
+
+
+class TestSharedPeriodLoop:
+    @pytest.mark.parametrize("split_index", [0, 1, 2])
+    def test_held_out_lag_equals_estimate_lag(self, small_world, monkeypatch, split_index):
+        config = small_test_config()
+        split_seed = child_seed(9, "split", split_index)
+        train, _ = _training_dataset(small_world.dataset, config, split_seed)
+        expected = list(fit_periods(train, config, train.source_levels, {}, split_seed))
+
+        trained = []
+        original = pipeline.train_period
+
+        def recording(period, fm, labels, config, **kwargs):
+            tpm = original(period, fm, labels, config, **kwargs)
+            trained.append((fm, tpm))
+            return tpm
+
+        monkeypatch.setattr(pipeline, "train_period", recording)
+        run_single_split(small_world.dataset, config, {}, split_index, 9)
+        assert len(trained) == len(expected) == 2
+        n_model_regions = 0
+        for (fm, tpm), fit in zip(trained, expected):
+            assert fm.row_keys == fit.features.row_keys
+            if "init_gdp" in fit.features.columns:
+                col = fit.features.columns.index("init_gdp")
+                assert np.array_equal(fm.values[:, col], fit.features.values[:, col])
+                n_model_regions += sum(
+                    prov == "model" and small_world.dataset.locations.get(lid).level == "region"
+                    for (lid, _), prov in fit.features.init_provenance.items()
+                )
+            assert (tpm.model.alpha, tpm.model.lam) == (fit.model.model.alpha, fit.model.model.lam)
+        # the lag reaches rescaled regional estimates, where the copies drifted apart
+        assert n_model_regions > 0
+
+    def test_split_scores_the_prediction_before_rescaling(self, small_world, monkeypatch):
+        config = small_test_config()
+        fits = []
+
+        def recording(*args):
+            for fit in pipeline.fit_periods(*args):
+                fits.append(fit)
+                yield fit
+
+        monkeypatch.setattr(evaluation, "fit_periods", recording)
+        split = run_single_split(small_world.dataset, config, {}, 0, 9)
+        _, spec = _training_dataset(small_world.dataset, config, split.seed)
+        source = small_world.dataset.source_levels
+        n_rescaled_scored = 0
+        for fit in fits:
+            keys = sorted(k for k in fit.predictions if k in source and k[0] in spec.test_locations)
+            scored = predict_log10(fit.model, fit.features, keys)
+            observed = np.array([source[k] for k in keys])
+            assert split.per_period_mae_full[fit.period.period_id] == pytest.approx(
+                mae_relative(np.power(10.0, scored), observed), rel=1e-12
+            )
+            n_rescaled_scored += sum(fit.factors[k] != 1.0 for k in keys)
+        assert n_rescaled_scored > 0
 
 
 def make_estimates(values, kinds):
