@@ -402,6 +402,20 @@ class EnModel:
     max_delta: float
     training_hash: str = ""
 
+    def standardize_rows(self, values, names) -> np.ndarray:
+        """Raw rows whose columns are ``names`` as the model reads them: its
+        columns in ``feature_names`` order, as ``(raw - means) / sds``.
+
+        Other columns are ignored; a missing model column raises
+        :class:`ValidationError` naming it.
+        """
+        index = {name: j for j, name in enumerate(names)}
+        try:
+            cols = [index[name] for name in self.feature_names]
+        except KeyError as err:
+            raise ValidationError(f"input is missing model column {err}") from None
+        return (np.asarray(values, dtype=float)[:, cols] - self.means) / self.sds
+
     @property
     def selected_features(self) -> tuple:
         return tuple(
@@ -528,20 +542,13 @@ def en_predict(model: EnModel, x_new) -> np.ndarray:
     a missing model column is an error.
     """
     values, names = _unpack(x_new)
-    index = {name: j for j, name in enumerate(names)}
-    cols = []
-    for name in model.feature_names:
-        if name not in index:
-            raise ValidationError(f"en_predict: input is missing model column '{name}'")
-        cols.append(index[name])
+    std = model.standardize_rows(values, names)
     extra = set(names) - set(model.feature_names)
     if extra:
         warnings.warn(
             f"en_predict: ignoring {len(extra)} column(s) unknown to the model",
             stacklevel=2,
         )
-    aligned = values[:, cols]
-    std = (aligned - model.means) / model.sds
     return model.intercept + std @ model.coefficients
 
 

@@ -27,7 +27,7 @@ from .data_ingest import Dataset, LocationTable
 from .errors import HistGdpError, ValidationError
 from .features import initial_gdp
 from .numerics import kruskal_wallis, mae_relative, pearson, quantile, r2_log
-from .pipeline import PERIODS, build_statics, fit_baseline, fit_periods
+from .pipeline import build_statics, fit_baseline, fit_periods, fitted_periods
 # benchmarks/tracing.py wraps these names under this module
 from .features import build_static_features  # noqa: F401
 from .pipeline import predict_gated, train_period  # noqa: F401
@@ -230,8 +230,7 @@ def evaluate_models(
         n_splits = config.n_splits
     if master_seed is None:
         master_seed = config.seed
-    labeled_years = {year for (_, year) in dataset.source_levels}
-    years = [y for p in PERIODS if labeled_years & set(p.snapshots) for y in p.snapshots]
+    years = [y for p in fitted_periods(dataset.source_levels) for y in p.snapshots]
     # built before the splits start, so their threads only read the cache
     statics = build_statics(dataset, config, years, {} if statics is None else statics)
 

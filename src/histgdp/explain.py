@@ -48,25 +48,14 @@ def _columns(source):
     raise ValidationError("background must be a FeatureMatrix or labeled Matrix")
 
 
-def _align(values, names, wanted):
-    index = {n: j for j, n in enumerate(names)}
-    cols = []
-    for name in wanted:
-        if name not in index:
-            raise ValidationError(f"background is missing model column '{name}'")
-        cols.append(index[name])
-    return values[:, cols]
-
-
-def _linear_attributions(model: EnModel, keys, rows, background) -> list[Attribution]:
-    """Closed-form attributions of raw-scale ``rows`` (aligned with the
-    model's features), one per key, against ``background``'s mean."""
+def _linear_attributions(model: EnModel, keys, x_std, background) -> list[Attribution]:
+    """Closed-form attributions of standardized rows ``x_std`` (see
+    :meth:`EnModel.standardize_rows`), one per key, against
+    ``background``'s mean."""
     bg_values, bg_names = _columns(background)
     if bg_values.shape[0] < 1:
         raise ValidationError("background must contain at least one row")
-    bg = _align(bg_values, bg_names, model.feature_names)
-    bg_std_mean = ((bg - model.means) / model.sds).mean(axis=0)
-    x_std = (rows - model.means) / model.sds
+    bg_std_mean = model.standardize_rows(bg_values, bg_names).mean(axis=0)
     phi = model.coefficients * (x_std - bg_std_mean)
     base = model.intercept + float(model.coefficients @ bg_std_mean)
     return [
@@ -89,15 +78,13 @@ def shapley_linear_exact(model: EnModel, x_row, background, key=("", 0)) -> Attr
     distribution (typically the period's training matrix).
     """
     if isinstance(x_row, dict):
-        try:
-            x = np.array([float(x_row[n]) for n in model.feature_names])
-        except KeyError as err:
-            raise ValidationError(f"instance is missing model column {err}") from None
+        values, names = [list(x_row.values())], list(x_row)
     else:
-        x = np.asarray(x_row, dtype=float)
-        if x.shape != (len(model.feature_names),):
+        values, names = np.asarray(x_row, dtype=float)[None], model.feature_names
+        if values.shape != (1, len(names)):
             raise ValidationError("instance vector length does not match the model")
-    return _linear_attributions(model, [key], x[None, :], background)[0]
+    x_std = model.standardize_rows(values, names)
+    return _linear_attributions(model, [key], x_std, background)[0]
 
 
 def shapley_permutation(
@@ -166,9 +153,9 @@ def shapley_permutation(
 
 def attribute_rows(model: EnModel, fm: FeatureMatrix, background=None) -> list[Attribution]:
     """Exact attributions for every row of a feature matrix."""
-    rows = _align(*_columns(fm), model.feature_names)
+    x_std = model.standardize_rows(*_columns(fm))
     return _linear_attributions(
-        model, fm.row_keys, rows, fm if background is None else background
+        model, fm.row_keys, x_std, fm if background is None else background
     )
 
 

@@ -735,35 +735,6 @@ def attach_initial_gdp(
     )
 
 
-def build_feature_matrix(
-    year: int,
-    dataset,
-    *,
-    window_years: int = 150,
-    scale: str = "log10p1",
-    reference_year: int = DEFAULT_REFERENCE_YEAR,
-    lag_year: int | None = None,
-    model_levels: dict | None = None,
-) -> FeatureMatrix:
-    """One-call feature matrix for a snapshot year.
-
-    When ``lag_year`` is None (the earliest period has no predecessor) the
-    ``init_gdp`` column is omitted entirely.
-    """
-    static = build_static_features(
-        year,
-        dataset,
-        window_years=window_years,
-        scale=scale,
-        reference_year=reference_year,
-    )
-    if lag_year is None:
-        return static.matrix
-    return attach_initial_gdp(
-        static, lag_year, dataset.source_levels, model_levels or {}, dataset.locations
-    )
-
-
 def write_feature_csv(fm: FeatureMatrix, path):
     """Export a feature matrix as ``feature_matrix_<year>.csv`` content."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:

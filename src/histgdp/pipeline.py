@@ -60,11 +60,11 @@ PERIODS = (
 # The snapshots of PERIODS are data_ingest.SNAPSHOT_YEARS, re-exported here.
 
 
-def period_of_year(year: int) -> Period:
-    for p in PERIODS:
-        if year in p.snapshots:
-            return p
-    raise ValidationError(f"year {year} is not a snapshot year")
+def fitted_periods(source: dict) -> list:
+    """The periods, in order, with a labeled snapshot year in ``source``:
+    the ones :func:`fit_periods` fits."""
+    labeled_years = {year for (_, year) in source}
+    return [p for p in PERIODS if labeled_years & set(p.snapshots)]
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,20 @@ class EstimateRecord:
 
 @dataclass(frozen=True)
 class TrainedPeriodModel:
-    period_id: str
+    """A period's elastic net with the design it was fitted on.
+
+    ``x`` holds the standardized training rows, one per ``training_keys``
+    entry (``model.standardize_rows`` of their raw features), and ``y``
+    their log10 levels; ``dropped_columns`` are the constant columns that
+    standardization removed.
+    """
+
     model: EnModel
-    feature_names: tuple  # columns surviving standardization
     dropped_columns: tuple
     training_keys: tuple
     cv: CvResult
+    x: np.ndarray
+    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -177,10 +185,11 @@ def train_period(
     period_features: FeatureMatrix,
     labels: dict,
     config: RunConfig,
-    completed_periods=(),
-    seed: int | None = None,
+    completed_periods,
+    seed: int,
 ) -> TrainedPeriodModel:
-    """Cross-validate and fit the elastic net on a period's labeled rows.
+    """Cross-validate at ``seed`` and fit the elastic net on a period's
+    labeled rows.
 
     Periods must be processed chronologically (the lag feature depends on
     everything earlier), so every earlier period has to appear in
@@ -208,8 +217,6 @@ def train_period(
     x_raw = period_features.subset(labeled_keys)
     y = np.array([math.log10(labels[k]) for k in labeled_keys])
     std = standardize(x_raw.to_matrix())
-    if seed is None:
-        seed = child_seed(config.seed, "cv", PERIODS.index(period))
     cv = en_cv(
         std.matrix,
         y,
@@ -231,26 +238,24 @@ def train_period(
         feature_names=std.matrix.col_labels,
     )
     return TrainedPeriodModel(
-        period_id=period.period_id,
         model=model,
-        feature_names=std.matrix.col_labels,
         dropped_columns=std.dropped,
         training_keys=tuple(labeled_keys),
         cv=cv,
+        x=std.matrix.values,
+        y=y,
     )
 
 
-def _model_matrix(tpm: TrainedPeriodModel, fm: FeatureMatrix, keys) -> np.ndarray:
-    sub = fm.subset(keys)
-    index = {name: j for j, name in enumerate(sub.columns)}
-    cols = [index[name] for name in tpm.model.feature_names]
-    return sub.values[:, cols]
-
-
 def predict_log10(tpm: TrainedPeriodModel, fm: FeatureMatrix, keys) -> np.ndarray:
-    """Model predictions (log10 scale) for the given row keys."""
-    raw = _model_matrix(tpm, fm, keys)
-    std = (raw - tpm.model.means) / tpm.model.sds
+    """Model predictions (log10 scale) for the given row keys of ``fm``.
+
+    The rows are read by column name through
+    :meth:`EnModel.standardize_rows`, so a missing model column raises
+    :class:`ValidationError`.
+    """
+    sub = fm.subset(keys)
+    std = tpm.model.standardize_rows(sub.values, sub.columns)
     return tpm.model.intercept + std @ tpm.model.coefficients
 
 
@@ -299,6 +304,7 @@ def bootstrap_ci(
     alpha: float,
     lam: float,
     x_targets,
+    start,
     *,
     n_samples: int = 200,
     level: float = 0.90,
@@ -312,8 +318,9 @@ def bootstrap_ci(
     Resamples training rows with replacement (or whole country clusters)
     and refits at the already-chosen hyperparameters: every replicate is
     a row of ``np.bincount`` multiplicity weights, and one
-    :func:`fit_centered` call solves them all, warm-started from the
-    full-data fit.  The intervals are quantiles of the level-scale
+    :func:`fit_centered` call solves them all, each starting from
+    ``start``: the full-data fit's coefficients at these hyperparameters,
+    which the period model already holds.  The intervals are quantiles of the level-scale
     predictions.  ``level_factors`` multiplies each target's replicate
     predictions (the regional rescaling factor).  A resample with a
     constant response is redrawn; a replicate that draws one
@@ -336,7 +343,6 @@ def bootstrap_ci(
         unique = sorted(set(labels.tolist()))
         members = {c: np.flatnonzero(labels == c) for c in unique}
     full_degenerate = bool(np.all(y == y[0]))
-    warm, _, _ = fit_centered(x, y, np.ones((1, n)), alpha, lam)
 
     weights = np.empty((n_samples, n))
     skipped = 0
@@ -358,7 +364,7 @@ def bootstrap_ci(
                 f"{MAX_RESAMPLE_ATTEMPTS} resamples"
             )
         weights[b] = np.bincount(idx, minlength=n)
-    betas, col_means, y_means = fit_centered(x, y, weights, alpha, lam, warm_start=warm[0])
+    betas, col_means, y_means = fit_centered(x, y, weights, alpha, lam, warm_start=start)
     predictions = np.empty((n_samples, targets.shape[0]))
     for b in range(n_samples):
         predictions[b] = y_means[b] + (targets - col_means[b]) @ betas[b]
@@ -423,11 +429,11 @@ def fit_periods(dataset: Dataset, config: RunConfig, source: dict, statics: dict
     """
     locations = dataset.locations
     policy = GatingPolicy.from_config(config)
-    labeled_years = {year for (_, year) in source}
+    fitted = fitted_periods(source)
     store: dict = {}  # earlier periods' rescaled levels, for the lag column
     completed: list = []
     for index, period in enumerate(PERIODS):
-        if not labeled_years & set(period.snapshots):
+        if period not in fitted:
             completed.append(period.period_id)
             continue
         build_statics(dataset, config, period.snapshots, statics)
@@ -519,11 +525,9 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
             )
         )
 
-    labeled_years = {year for (_, year) in source}
+    fitted = fitted_periods(source)
     report_periods: dict = {
-        p.period_id: {"skipped": "no labeled rows"}
-        for p in PERIODS
-        if not labeled_years & set(p.snapshots)
+        p.period_id: {"skipped": "no labeled rows"} for p in PERIODS if p not in fitted
     }
     gated_keys: list = []
     proxy_weights: dict = {}
@@ -544,22 +548,17 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
         ci_low = ci_high = ()
         skipped = 0
         if ordered:
-            x_std = (
-                _model_matrix(tpm, fm, tpm.training_keys) - tpm.model.means
-            ) / tpm.model.sds
-            y_train = np.array([math.log10(fit.labels[k]) for k in tpm.training_keys])
-            target_std = (
-                _model_matrix(tpm, fm, ordered) - tpm.model.means
-            ) / tpm.model.sds
+            targets = fm.subset(ordered)
             clusters = None
             if config.bootstrap_unit == "country":
                 clusters = [locations.country_of(lid) for (lid, _) in tpm.training_keys]
             ci_low, ci_high, skipped = bootstrap_ci(
-                x_std,
-                y_train,
+                tpm.x,
+                tpm.y,
                 tpm.model.alpha,
                 tpm.model.lam,
-                target_std,
+                tpm.model.standardize_rows(targets.values, targets.columns),
+                tpm.model.coefficients,
                 n_samples=config.bootstrap_samples,
                 level=config.ci_level,
                 seed=child_seed(config.seed, "bootstrap", PERIODS.index(period)),
@@ -590,7 +589,7 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
             "alpha": tpm.model.alpha,
             "lambda": tpm.model.lam,
             "n_selected": len(tpm.model.selected_features),
-            "n_candidates": len(tpm.feature_names),
+            "n_candidates": len(tpm.model.feature_names),
             "n_training_rows": len(tpm.training_keys),
             "n_estimates": len(ordered),
             "n_gated": len(fit.gated),

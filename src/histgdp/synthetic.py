@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data_ingest import BIOGRAPHY_HEADER, GDP_HEADER, LOCATION_HEADER
 from .data_ingest import BiographyRecord, Dataset, GdpObservation, Location, LocationTable
 from .errors import ValidationError
 from .features import build_static_features
@@ -206,19 +207,7 @@ def write_world_csv(dataset: Dataset, directory) -> dict:
     }
     with paths["biographies"].open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "person_id",
-                "name",
-                "birth_year",
-                "death_year",
-                "birth_location_id",
-                "death_location_id",
-                "occupation",
-                "pageviews",
-                "language_editions",
-            ]
-        )
+        writer.writerow(BIOGRAPHY_HEADER)
         for r in dataset.records:
             writer.writerow(
                 [
@@ -235,9 +224,7 @@ def write_world_csv(dataset: Dataset, directory) -> dict:
             )
     with paths["locations"].open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["location_id", "name", "level", "parent_country_id", "supranational_region"]
-        )
+        writer.writerow(LOCATION_HEADER)
         for lid in dataset.locations.ids():
             loc = dataset.locations.get(lid)
             writer.writerow(
@@ -251,7 +238,7 @@ def write_world_csv(dataset: Dataset, directory) -> dict:
             )
     with paths["gdp"].open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["location_id", "year", "gdp_pc_2011usd", "source"])
+        writer.writerow(GDP_HEADER)
         for obs in dataset.gdp:
             writer.writerow([obs.location_id, obs.year, repr(float(obs.gdp_pc)), obs.source])
     return paths

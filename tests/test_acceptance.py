@@ -20,7 +20,7 @@ import pytest
 
 from histgdp.config import RunConfig
 from histgdp.data_ingest import load_dataset
-from histgdp.elasticnet import _cd_solve, en_fit, lambda_path
+from histgdp.elasticnet import _cd_solve, en_fit, fit_centered, lambda_path
 from histgdp.evaluation import evaluate_models
 from histgdp.explain import attribute_rows, shapley_linear_exact, shapley_permutation
 from histgdp.features import (
@@ -412,8 +412,9 @@ class TestCriterion8BootstrapCoverage:
         for rep in range(n_reps):
             rr = np.random.default_rng(child_seed(999, "coverage", rep))
             y_rep = m_true + rr.normal(0, world40.noise_sd, size=len(keys))
+            start = fit_centered(x_all[tr], y_rep[tr], np.ones((1, n_train)), 0.5, lam)[0][0]
             lo, hi, _ = bootstrap_ci(
-                x_all[tr], y_rep[tr], 0.5, lam, x_all[te],
+                x_all[tr], y_rep[tr], 0.5, lam, x_all[te], start,
                 n_samples=200, level=0.90, seed=child_seed(999, "boot", rep),
             )
             covered += int(np.sum((lo <= truth) & (truth <= hi)))

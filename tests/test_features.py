@@ -20,7 +20,6 @@ from histgdp.features import (
     attach_initial_gdp,
     avg_age,
     avg_ubiquity,
-    build_feature_matrix,
     build_static_features,
     diversity,
     eci,
@@ -389,8 +388,9 @@ class TestBuildFeatureMatrix:
         # 2 locations, 3 occupations, 2 supranational regions:
         # 4*(3+1) counts + 4 diversity + 4 ubiquity + 4 eci + 20 svd
         # + 1 age + 2 dummies + 1 init_gdp = 52
-        fm = build_feature_matrix(
-            1750, small_dataset, lag_year=1700, model_levels={},
+        fm = attach_initial_gdp(
+            build_static_features(1750, small_dataset), 1700,
+            small_dataset.source_levels, {}, small_dataset.locations,
         )
         assert len(fm.columns) == 52
         assert fm.columns[0] == "births.total"
@@ -401,43 +401,46 @@ class TestBuildFeatureMatrix:
         assert fm.columns[-2:] == ("avg_age", "init_gdp")
 
     def test_init_gdp_omitted_without_lag(self, small_dataset):
-        fm = build_feature_matrix(1750, small_dataset)
+        fm = build_static_features(1750, small_dataset).matrix
         assert "init_gdp" not in fm.columns
         assert len(fm.columns) == 51
 
     def test_rows_cover_all_locations(self, small_dataset):
-        fm = build_feature_matrix(1750, small_dataset)
+        fm = build_static_features(1750, small_dataset).matrix
         assert set(fm.row_keys) == {("AT", 1750), ("PL", 1750)}
 
     def test_provenance_recorded(self, small_dataset):
-        fm = build_feature_matrix(1750, small_dataset, lag_year=1700)
+        fm = attach_initial_gdp(
+            build_static_features(1750, small_dataset), 1700,
+            small_dataset.source_levels, {}, small_dataset.locations,
+        )
         assert fm.init_provenance[("AT", 1750)] == "source"
 
     def test_record_order_invariance(self, small_dataset):
-        fm1 = build_feature_matrix(1750, small_dataset)
+        fm1 = build_static_features(1750, small_dataset).matrix
         shuffled = Dataset(
             records=list(reversed(small_dataset.records)),
             locations=small_dataset.locations,
             gdp=small_dataset.gdp,
         )
-        fm2 = build_feature_matrix(1750, shuffled)
+        fm2 = build_static_features(1750, shuffled).matrix
         assert fm1.columns == fm2.columns and fm1.row_keys == fm2.row_keys
         assert np.array_equal(fm1.values, fm2.values)
 
     def test_empty_window_rejected(self, small_dataset):
         with pytest.raises(ValidationError, match="window"):
-            build_feature_matrix(1400, small_dataset)
+            build_static_features(1400, small_dataset).matrix
 
     def test_dummy_encoding(self, small_dataset):
-        fm = build_feature_matrix(1750, small_dataset)
+        fm = build_static_features(1750, small_dataset).matrix
         at = fm.row_keys.index(("AT", 1750))
         west = fm.columns.index("dummy.Western Europe")
         east = fm.columns.index("dummy.Eastern Europe")
         assert fm.values[at, west] == 1.0 and fm.values[at, east] == 0.0
 
     def test_stack_and_subset(self, small_dataset):
-        fm1 = build_feature_matrix(1750, small_dataset)
-        fm2 = build_feature_matrix(1800, small_dataset)
+        fm1 = build_static_features(1750, small_dataset).matrix
+        fm2 = build_static_features(1800, small_dataset).matrix
         stacked = stack_features([fm1, fm2])
         assert len(stacked.row_keys) == 4
         sub = stacked.subset([("PL", 1800)])
@@ -460,8 +463,8 @@ class TestBuildFeatureMatrix:
         assert fm.values[at, -1] == pytest.approx(math.log10(1500.0))
 
     def test_asinh_scale_applied(self, small_dataset):
-        log_fm = build_feature_matrix(1750, small_dataset, scale="log10p1")
-        as_fm = build_feature_matrix(1750, small_dataset, scale="asinh")
+        log_fm = build_static_features(1750, small_dataset, scale="log10p1").matrix
+        as_fm = build_static_features(1750, small_dataset, scale="asinh").matrix
         assert as_fm.scale == "asinh"
         col = log_fm.columns.index("births.total")
         at = log_fm.row_keys.index(("AT", 1750))
@@ -835,14 +838,20 @@ class TestElementwiseLinearize:
 
 class TestSubset:
     def test_filters_init_provenance(self, small_dataset):
-        fm = build_feature_matrix(1750, small_dataset, lag_year=1700)
+        fm = attach_initial_gdp(
+            build_static_features(1750, small_dataset), 1700,
+            small_dataset.source_levels, {}, small_dataset.locations,
+        )
         assert set(fm.init_provenance) == {("AT", 1750), ("PL", 1750)}
         sub = fm.subset([("PL", 1750)])
         assert sub.init_provenance == {("PL", 1750): fm.init_provenance[("PL", 1750)]}
         assert set(fm.init_provenance) == {("AT", 1750), ("PL", 1750)}
 
     def test_keeps_requested_order_and_rejects_unknown_keys(self, small_dataset):
-        fm = build_feature_matrix(1750, small_dataset, lag_year=1700)
+        fm = attach_initial_gdp(
+            build_static_features(1750, small_dataset), 1700,
+            small_dataset.source_levels, {}, small_dataset.locations,
+        )
         keys = list(reversed(fm.row_keys))
         sub = fm.subset(iter(keys))
         assert sub.row_keys == tuple(keys)

@@ -1,19 +1,25 @@
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from histgdp.data_ingest import Location, LocationTable
 from histgdp import pipeline
-from histgdp.elasticnet import DEFAULT_TOL
+from histgdp.elasticnet import DEFAULT_TOL, en_predict, fit_centered
 from histgdp.errors import NumericalError, ValidationError
-from histgdp.features import build_feature_matrix
+from histgdp.explain import attribute_rows
+from histgdp.features import attach_initial_gdp, build_static_features
 from histgdp.pipeline import (
     PERIODS,
     SNAPSHOT_YEARS,
     GatingPolicy,
     bootstrap_ci,
     fit_baseline,
+    fit_periods,
     format_float,
-    period_of_year,
+    predict_log10,
     rescale_regions,
     run_full,
     train_period,
@@ -32,13 +38,6 @@ class TestPeriodGrid:
         for prev, cur in zip(PERIODS, PERIODS[1:]):
             assert cur.prev_end == prev.snapshots[-1]
         assert PERIODS[0].prev_end is None
-
-    def test_period_of_year(self):
-        assert period_of_year(1300).period_id == "late_middle_ages"
-        assert period_of_year(1550).period_id == "early_modern"
-        assert period_of_year(2000).period_id == "information_age"
-        with pytest.raises(ValidationError):
-            period_of_year(1525)
 
     def test_year_bounds_contain_snapshots(self):
         for p in PERIODS:
@@ -164,12 +163,17 @@ class TestRescaling:
             rescale_regions({"r1": 10.0}, 5.0, {"r1": 0})
 
 
+def full_fit(x, y, alpha, lam):
+    """The full-data coefficients that start every bootstrap replicate."""
+    return fit_centered(x, y, np.ones((1, len(y))), alpha, lam)[0][0]
+
+
 class TestBootstrap:
     def test_zero_width_for_degenerate_training(self):
         x = np.zeros((12, 2))
         y = np.full(12, 3.0)
         lo, hi, skipped = bootstrap_ci(
-            x, y, 0.5, 1.0, np.zeros((1, 2)), n_samples=50, seed=1
+            x, y, 0.5, 1.0, np.zeros((1, 2)), np.zeros(2), n_samples=50, seed=1
         )
         assert lo[0] == pytest.approx(1000.0)
         assert hi[0] == pytest.approx(1000.0)
@@ -179,7 +183,9 @@ class TestBootstrap:
         x = rng.normal(size=(30, 3))
         y = x @ np.array([0.2, -0.1, 0.05]) + 3.0 + 0.05 * rng.normal(size=30)
         targets = rng.normal(size=(5, 3))
-        lo, hi, skipped = bootstrap_ci(x, y, 0.5, 0.5, targets, n_samples=60, seed=3)
+        lo, hi, skipped = bootstrap_ci(
+            x, y, 0.5, 0.5, targets, full_fit(x, y, 0.5, 0.5), n_samples=60, seed=3
+        )
         assert np.all(lo <= hi)
         assert skipped == 0
 
@@ -194,20 +200,20 @@ class TestBootstrap:
         x = np.arange(24.0).reshape(12, 2)
         y = np.arange(12.0)
         with pytest.raises(NumericalError, match="constant response"):
-            bootstrap_ci(x, y, 0.5, 1.0, np.zeros((1, 2)), n_samples=50, seed=1)
+            bootstrap_ci(x, y, 0.5, 1.0, np.zeros((1, 2)), np.zeros(2), n_samples=50, seed=1)
 
     def test_country_unit_needs_clusters(self):
         with pytest.raises(ValidationError):
             bootstrap_ci(
                 np.zeros((10, 1)), np.arange(10.0), 0.5, 0.5, np.zeros((1, 1)),
-                n_samples=50, unit="country",
+                np.zeros(1), n_samples=50, unit="country",
             )
 
     def test_minimum_samples(self):
         with pytest.raises(ValidationError):
             bootstrap_ci(
                 np.zeros((10, 1)), np.arange(10.0), 0.5, 0.5, np.zeros((1, 1)),
-                n_samples=10,
+                np.zeros(1), n_samples=10,
             )
 
     def test_deterministic(self):
@@ -215,8 +221,9 @@ class TestBootstrap:
         x = rng.normal(size=(25, 2))
         y = x @ np.array([0.3, 0.1]) + 3.0 + 0.1 * rng.normal(size=25)
         t = rng.normal(size=(3, 2))
-        a = bootstrap_ci(x, y, 1.0, 0.2, t, n_samples=50, seed=9)
-        b = bootstrap_ci(x, y, 1.0, 0.2, t, n_samples=50, seed=9)
+        start = full_fit(x, y, 1.0, 0.2)
+        a = bootstrap_ci(x, y, 1.0, 0.2, t, start, n_samples=50, seed=9)
+        b = bootstrap_ci(x, y, 1.0, 0.2, t, start, n_samples=50, seed=9)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_country_cluster_resampling(self):
@@ -225,7 +232,7 @@ class TestBootstrap:
         y = x @ np.array([0.2, -0.1, 0.3]) + 3.0 + 0.05 * rng.normal(size=30)
         clusters = [f"C{i % 6}" for i in range(30)]
         lo, hi, skipped = bootstrap_ci(
-            x, y, 0.5, 0.3, rng.normal(size=(4, 3)),
+            x, y, 0.5, 0.3, rng.normal(size=(4, 3)), full_fit(x, y, 0.5, 0.3),
             n_samples=60, seed=2, unit="country", clusters=clusters,
         )
         assert np.all(lo <= hi)
@@ -234,8 +241,9 @@ class TestBootstrap:
 
 class TestTrainPeriod:
     def test_out_of_order_rejected(self, small_world, small_config):
-        fm = build_feature_matrix(
-            1550, small_world.dataset, lag_year=1500,
+        ds = small_world.dataset
+        fm = attach_initial_gdp(
+            build_static_features(1550, ds), 1500, ds.source_levels, {}, ds.locations
         )
         labels = {
             k: small_world.dataset.source_levels[k]
@@ -243,15 +251,85 @@ class TestTrainPeriod:
             if k in small_world.dataset.source_levels
         }
         with pytest.raises(ValidationError, match="late_middle_ages"):
-            train_period(PERIODS[1], fm, labels, small_config, completed_periods=())
+            train_period(PERIODS[1], fm, labels, small_config, completed_periods=(), seed=0)
 
     def test_too_few_rows_suggests_fold_reduction(self, small_world):
         config = small_test_config(k_folds=10)
-        fm = build_feature_matrix(1300, small_world.dataset)
+        fm = build_static_features(1300, small_world.dataset).matrix
         keys = list(fm.row_keys)[:4]
         labels = {k: 1000.0 for k in keys}
         with pytest.raises(ValidationError, match="k_folds"):
-            train_period(PERIODS[0], fm.subset(keys), labels, config)
+            train_period(PERIODS[0], fm.subset(keys), labels, config, (), seed=0)
+
+
+@pytest.fixture(scope="module")
+def period_fit(small_world, small_config):
+    """The last fitted period of the small world (it has a lag column)."""
+    ds = small_world.dataset
+    return list(fit_periods(ds, small_config, ds.source_levels, {}, small_config.seed))[-1]
+
+
+def reordered(fm, drop=None):
+    """``fm`` with its columns permuted and an unknown column appended,
+    less the column ``drop``."""
+    order = [j for j in np.random.default_rng(5).permutation(len(fm.columns))
+             if fm.columns[j] != drop]
+    return replace(
+        fm,
+        columns=tuple(fm.columns[j] for j in order) + ("unknown",),
+        values=np.hstack([fm.values[:, order], np.ones((len(fm.row_keys), 1))]),
+    )
+
+
+class TestModelReadsRowsByName:
+    def test_column_order_and_unknown_columns_do_not_matter(self, period_fit):
+        tpm, fm = period_fit.model, period_fit.features
+        copy = reordered(fm)
+        expected = predict_log10(tpm, fm, fm.row_keys)
+        assert np.array_equal(predict_log10(tpm, copy, fm.row_keys), expected)
+        with pytest.warns(UserWarning, match="unknown to the model"):
+            assert np.array_equal(en_predict(tpm.model, copy.to_matrix()), expected)
+        for a, b in zip(attribute_rows(tpm.model, copy), attribute_rows(tpm.model, fm)):
+            assert np.array_equal(a.phi, b.phi)
+            assert (a.base, a.prediction) == (b.base, b.prediction)
+
+    def test_missing_model_column_is_a_validation_error(self, period_fit):
+        tpm, fm = period_fit.model, period_fit.features
+        name = tpm.model.feature_names[-1]
+        copy = reordered(fm, drop=name)
+        match = re.escape(f"'{name}'")
+        with pytest.raises(ValidationError, match=match):
+            predict_log10(tpm, copy, fm.row_keys)
+        with pytest.raises(ValidationError, match=match):
+            en_predict(tpm.model, copy.to_matrix())
+        with pytest.raises(ValidationError, match=match):
+            attribute_rows(tpm.model, copy)
+
+    def test_trained_period_keeps_its_design(self, period_fit):
+        tpm = period_fit.model
+        train = period_fit.features.subset(tpm.training_keys)
+        assert np.array_equal(tpm.x, tpm.model.standardize_rows(train.values, train.columns))
+        labels = [math.log10(period_fit.labels[k]) for k in tpm.training_keys]
+        assert np.array_equal(tpm.y, labels)
+
+    def test_bootstrap_starts_from_the_period_model(self, small_world, small_config,
+                                                     monkeypatch):
+        starts, models = [], []
+
+        def recording_fit(*args, **kwargs):
+            starts.append(kwargs.get("warm_start"))
+            return fit_centered(*args, **kwargs)
+
+        def recording_train(*args, **kwargs):
+            models.append(train_period(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(pipeline, "fit_centered", recording_fit)
+        monkeypatch.setattr(pipeline, "train_period", recording_train)
+        run_full(small_world.dataset, small_config)
+        assert models and len(starts) == len(models)
+        for start, tpm in zip(starts, models):
+            assert start is not None and np.array_equal(start, tpm.model.coefficients)
 
 
 class TestRunFull:
