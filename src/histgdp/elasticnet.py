@@ -22,12 +22,14 @@ One kernel, :func:`_solve_stack`, solves every fit of the package.  It
 advances a stack of independent problems together: a stack of Gram
 systems, each solved for several alphas along its own warm-started lambda
 path, with one batched block solve per iteration over the active blocks,
-padded with identity rows to the largest.  The Grams are built from
-multiplicity weights, ``Xc' diag(w) Xc``: 0/1 weights give the CV folds'
-training rows and ``np.bincount`` counts the bootstrap resamples.  So
-:func:`en_cv` solves every fold x alpha path, plus the full-data path
-that warm-starts the final :func:`en_fit`, in one call, and
-:func:`fit_centered` solves all bootstrap replicates of a period in one.
+padded with identity rows to the largest.  One builder,
+:func:`_centered_systems`, makes every Gram from multiplicity weights,
+``Xc' diag(w) Xc``: 0/1 weights give the CV folds' training rows, a row
+of ones the full data, and ``np.bincount`` counts the bootstrap
+resamples.  So :func:`en_cv` solves every fold x alpha path, plus the
+full-data path, in one call; :func:`fit_centered` is the one fit at a
+fixed (alpha, lambda), and solves all bootstrap replicates of a period in
+one call; and :func:`en_fit` is :func:`fit_centered` on one row of ones.
 """
 
 from __future__ import annotations
@@ -338,20 +340,6 @@ def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
         beta, gb, c = trial, gb_trial, c_trial
 
 
-def _cd_solve(gram, xty, alpha, lam, beta0, tol, max_sweeps):
-    """Exact active-set elastic net on one Gram system: :func:`_solve_stack`
-    on a stack of one problem at one ``(alpha, lam)``.  Stops when the
-    largest KKT violation is at most ``tol``; more than ``max_sweeps``
-    steps raise :class:`NumericalError`.  Returns ``(beta, steps, max KKT
-    violation)``; the violation is the fit's certificate.
-    """
-    path, steps, cert = _solve_stack(
-        np.asarray(gram, dtype=float)[None], np.asarray(xty, dtype=float)[None],
-        (alpha,), np.array([[lam]], dtype=float), beta0, tol, max_sweeps,
-    )
-    return path[0, 0, 0], int(steps[0, 0, 0]), float(cert[0, 0, 0])
-
-
 def _centered_systems(x, y, weights):
     """Centred Gram systems of one design under rows of multiplicity weights.
 
@@ -493,17 +481,18 @@ def en_fit(
     means=None,
     sds=None,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_STEPS,
 ) -> EnModel:
     """Fit the elastic net at a single (alpha, lambda) pair.
 
-    ``x`` must be standardized (columns mean 0, sd 1); the response is
+    ``x`` must be standardized (columns mean 0, sd 1); the fit is
+    :func:`fit_centered` on one row of unit weights, so the response is
     centered internally and the intercept is the mean of the uncentered
     response.  ``means``/``sds`` are the raw-scale standardization
     parameters, stored so that :func:`en_predict` can standardize new
     raw-scale rows identically; omit them when the caller works in
     standardized space throughout.  ``tol`` bounds the largest KKT
-    violation of the fit and ``max_sweeps`` caps the solver's steps.
+    violation of the fit, which the model keeps as ``max_delta``, with the
+    solver's steps as ``n_sweeps``.
     """
     values, names = _unpack(x, feature_names)
     yv = np.asarray(y, dtype=float)
@@ -515,22 +504,20 @@ def en_fit(
         raise ValidationError(f"en_fit: lambda must be >= 0, got {lam}")
     _check_standardized(values)
 
-    y_mean = float(yv.mean())
-    yc = yv - y_mean
-    gram = values.T @ values
-    xty = values.T @ yc
-    beta, steps, violation = _cd_solve(gram, xty, alpha, lam, warm_start, tol, max_sweeps)
+    beta, _, _, steps, violation = fit_centered(
+        values, yv, np.ones((1, values.shape[0])), alpha, lam, warm_start=warm_start, tol=tol
+    )
     p = values.shape[1]
     return EnModel(
         alpha=float(alpha),
         lam=float(lam),
-        intercept=y_mean,
-        coefficients=beta,
+        intercept=float(yv.mean()),
+        coefficients=beta[0],
         feature_names=names,
         means=np.zeros(p) if means is None else np.asarray(means, dtype=float),
         sds=np.ones(p) if sds is None else np.asarray(sds, dtype=float),
-        n_sweeps=steps,
-        max_delta=violation,
+        n_sweeps=int(steps[0]),
+        max_delta=float(violation[0]),
         training_hash=_content_hash(values, names),
     )
 
@@ -611,7 +598,6 @@ def en_cv(
     lambda_ratio: float = 1e-4,
     selection_rule: str = "min_mean",
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_STEPS,
 ) -> CvResult:
     """k-fold cross-validation over an (alpha, lambda) grid.
 
@@ -625,7 +611,10 @@ def en_cv(
     rule picks the grid cell with minimum mean validation MSE, breaking
     ties toward larger lambda (the sparser model).  The ``fold_average``
     rule instead takes each fold's own optimum and averages the chosen
-    (alpha, lambda) pairs.
+    (alpha, lambda) pairs.  Under ``min_mean`` the full-data solution at
+    the chosen cell is kept as ``chosen_coefficients``: :func:`en_fit`
+    builds the same system (up to rounding), so a final fit started there
+    takes no step unless rounding lifts its KKT violation above ``tol``.
     """
     values, _ = _unpack(x)
     yv = np.asarray(y, dtype=float)
@@ -649,7 +638,7 @@ def en_cv(
     for f, val_idx in enumerate(folds):
         weights[f, val_idx] = 0.0
     gram, xty, col_means, y_means = _centered_systems(values, yv, weights)
-    path, steps, cert = _solve_stack(gram, xty, alpha_grid, lams, None, tol, max_sweeps)
+    path, steps, cert = _solve_stack(gram, xty, alpha_grid, lams, None, tol, DEFAULT_MAX_STEPS)
 
     n_cells = lams.size
     fold_mses = np.empty((k, n_cells))
@@ -698,23 +687,25 @@ def en_cv(
     )
 
 
-def fit_centered(x, y, weights, alpha, lam, *, warm_start=None, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_STEPS):
-    """Fit at one (alpha, lambda) once per row of multiplicity weights.
+def fit_centered(x, y, weights, alpha, lam, *, warm_start=None, tol=DEFAULT_TOL):
+    """Fit at one (alpha, lambda) once per row of multiplicity weights: the
+    one fit of the package at fixed hyperparameters.
 
-    Used by bootstrap replicates, which refit at fixed hyperparameters on
-    resampled rows where exact column standardization no longer holds:
-    row ``i`` enters fit ``b`` ``weights[b, i]`` times (``np.bincount`` of
-    the resampled indices), and each fit is centred on its own weighted
-    means.  All fits start from ``warm_start`` and are solved in one
-    :func:`_solve_stack` call.  Returns ``(beta, col_means, y_mean)``
-    stacked over the fits, shapes ``(B, p)``, ``(B, p)`` and ``(B,)``;
-    fit ``b`` predicts a raw row ``x_new`` (on the scale of ``x``) as
-    ``y_mean[b] + (x_new - col_means[b]) @ beta[b]``.
+    Row ``i`` enters fit ``b`` ``weights[b, i]`` times: ``np.bincount`` of
+    a bootstrap replicate's resampled indices, or one row of ones for
+    :func:`en_fit`.  Each fit is centred on its own weighted means by
+    :func:`_centered_systems`, all fits start from ``warm_start``, and one
+    :func:`_solve_stack` call solves them.  Returns ``(beta, col_means,
+    y_mean, steps, kkt_violation)`` stacked over the fits, shapes
+    ``(B, p)``, ``(B, p)``, ``(B,)``, ``(B,)`` and ``(B,)``: fit ``b``
+    predicts a raw row ``x_new`` (on the scale of ``x``) as
+    ``y_mean[b] + (x_new - col_means[b]) @ beta[b]``, took ``steps[b]``
+    active-set steps, and its largest KKT violation is at most ``tol``.
     """
     gram, xty, col_means, y_means = _centered_systems(
         np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.atleast_2d(weights)
     )
-    path, _, _ = _solve_stack(
-        gram, xty, (alpha,), np.array([[lam]], dtype=float), warm_start, tol, max_sweeps
+    path, steps, cert = _solve_stack(
+        gram, xty, (alpha,), np.array([[lam]], dtype=float), warm_start, tol, DEFAULT_MAX_STEPS
     )
-    return path[:, 0, 0], col_means, y_means
+    return path[:, 0, 0], col_means, y_means, steps[:, 0, 0], cert[:, 0, 0]

@@ -355,6 +355,14 @@ def write_evaluation_csv(dist: PerformanceDistribution, path):
 
 
 def write_evaluation_summary(dist: PerformanceDistribution, path):
+    """Write the distribution's medians, IQRs, Kruskal-Wallis tests and
+    per-period median MAE as JSON.  Every float is rounded to 6 significant
+    digits, as in ``evaluation.csv``, so the file's bytes follow the
+    results rather than the solver's last bits."""
+
+    def sig6(values: dict) -> dict:
+        return {k: float(f"{v:.6g}") for k, v in values.items()}
+
     ok = [s for s in dist.splits if s.failed is None]
     per_period: dict = {}
     for s in ok:
@@ -363,12 +371,12 @@ def write_evaluation_summary(dist: PerformanceDistribution, path):
     doc = {
         "n_splits": len(dist.splits),
         "n_failed": dist.n_failed,
-        "medians": dist.medians,
-        "iqr": dist.iqr,
-        "kruskal_wallis": dist.kw,
-        "median_mae_full_by_period": {
-            pid: quantile(values, 0.5) for pid, values in sorted(per_period.items())
-        },
+        "medians": sig6(dist.medians),
+        "iqr": sig6(dist.iqr),
+        "kruskal_wallis": {metric: sig6(test) for metric, test in dist.kw.items()},
+        "median_mae_full_by_period": sig6(
+            {pid: quantile(values, 0.5) for pid, values in sorted(per_period.items())}
+        ),
         "total_gated_test_rows": sum(s.n_gated_test for s in dist.splits),
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

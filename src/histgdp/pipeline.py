@@ -235,7 +235,6 @@ def train_period(
         warm_start=cv.chosen_coefficients,
         means=std.means,
         sds=std.sds,
-        feature_names=std.matrix.col_labels,
     )
     return TrainedPeriodModel(
         model=model,
@@ -364,7 +363,7 @@ def bootstrap_ci(
                 f"{MAX_RESAMPLE_ATTEMPTS} resamples"
             )
         weights[b] = np.bincount(idx, minlength=n)
-    betas, col_means, y_means = fit_centered(x, y, weights, alpha, lam, warm_start=start)
+    betas, col_means, y_means = fit_centered(x, y, weights, alpha, lam, warm_start=start)[:3]
     predictions = np.empty((n_samples, targets.shape[0]))
     for b in range(n_samples):
         predictions[b] = y_means[b] + (targets - col_means[b]) @ betas[b]

@@ -20,7 +20,7 @@ import pytest
 
 from histgdp.config import RunConfig
 from histgdp.data_ingest import load_dataset
-from histgdp.elasticnet import _cd_solve, en_fit, fit_centered, lambda_path
+from histgdp.elasticnet import _solve_stack, en_fit, fit_centered, lambda_path
 from histgdp.evaluation import evaluate_models
 from histgdp.explain import attribute_rows, shapley_linear_exact, shapley_permutation
 from histgdp.features import (
@@ -118,12 +118,13 @@ class TestCriterion3ElasticNet:
             xty = float(rng.normal(0, 2.0))
             alpha = float(rng.uniform(0.0, 1.0))
             lam = float(rng.uniform(0.0, 3.0))
-            beta, _, _ = _cd_solve(
-                np.array([[g]]), np.array([xty]), alpha, lam, None, 1e-14, 10_000
+            path, _, _ = _solve_stack(
+                np.array([[[g]]]), np.array([[xty]]), (alpha,), np.array([[lam]]),
+                None, 1e-14, 10_000,
             )
             t = lam * alpha / 2.0
             expect = math.copysign(max(abs(xty) - t, 0.0), xty) / (g + lam * (1 - alpha))
-            assert abs(beta[0] - expect) <= 1e-10
+            assert abs(path[0, 0, 0][0] - expect) <= 1e-10
 
         # KKT residuals on 100 random instances with up to 25 features
         for i in range(100):

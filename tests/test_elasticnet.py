@@ -5,10 +5,11 @@ from histgdp import elasticnet
 from histgdp.elasticnet import (
     CvResult,
     EnModel,
-    _cd_solve,
+    _solve_stack,
     en_cv,
     en_fit,
     en_predict,
+    fit_centered,
     lambda_path,
 )
 from histgdp.errors import NumericalError, ValidationError
@@ -37,17 +38,17 @@ class TestSolverOracles:
 
     def test_univariate_soft_threshold(self):
         # gram x'x = 1, x'y = 1, alpha = 1, lambda = 1 -> S(1, 0.5) = 0.5
-        beta, _, _ = _cd_solve(
-            np.array([[1.0]]), np.array([1.0]), 1.0, 1.0, None, 1e-12, 1000
+        path, _, _ = _solve_stack(
+            np.array([[[1.0]]]), np.array([[1.0]]), (1.0,), np.array([[1.0]]), None, 1e-12, 1000
         )
-        assert abs(beta[0] - 0.5) <= 1e-12
+        assert abs(path[0, 0, 0][0] - 0.5) <= 1e-12
 
     def test_univariate_ridge(self):
         # same data with alpha = 0: beta = x'y / (x'x + lambda) = 0.5
-        beta, _, _ = _cd_solve(
-            np.array([[1.0]]), np.array([1.0]), 0.0, 1.0, None, 1e-12, 1000
+        path, _, _ = _solve_stack(
+            np.array([[[1.0]]]), np.array([[1.0]]), (0.0,), np.array([[1.0]]), None, 1e-12, 1000
         )
-        assert abs(beta[0] - 0.5) <= 1e-12
+        assert abs(path[0, 0, 0][0] - 0.5) <= 1e-12
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
     def test_ridge_closed_form(self, lam):
@@ -335,7 +336,8 @@ class TestCollinearDesign:
             if model_c.n_sweeps > 1:
                 capped += 1
                 with pytest.raises(NumericalError, match="KKT violation"):
-                    _cd_solve(gram, xty, alpha, lam, None, self.TOL, 1)
+                    _solve_stack(gram[None], xty[None], (alpha,), np.array([[lam]]),
+                                 None, self.TOL, 1)
         assert capped > 50
 
     def test_singular_active_block_leaves_by_null_direction(self):
@@ -348,8 +350,11 @@ class TestCollinearDesign:
         lam = float(lambda_path(x, y, 1.0, n_lambda=100, ratio=1e-4)[60])
         start = np.zeros(x.shape[1])
         start[6:] = 1.0
-        beta, steps, violation = _cd_solve(gram, xty, 1.0, lam, start, self.TOL, 100)
-        cold, _, _ = _cd_solve(gram, xty, 1.0, lam, None, self.TOL, 100)
+        path, _, cert = _solve_stack(gram[None], xty[None], (1.0,), np.array([[lam]]),
+                                     start, self.TOL, 100)
+        beta, violation = path[0, 0, 0], cert[0, 0, 0]
+        cold = _solve_stack(gram[None], xty[None], (1.0,), np.array([[lam]]),
+                            None, self.TOL, 100)[0][0, 0, 0]
         assert violation <= self.TOL
         assert np.max(np.abs(x @ (beta - cold))) <= 1e-8
         assert np.count_nonzero(beta[6:]) < 5
@@ -362,9 +367,12 @@ def test_stalled_steps_are_repaired_by_sweeps(monkeypatch):
     gram = x.T @ x
     xty = x.T @ (y - y.mean())
     lam = float(lambda_path(x, y, 0.7, n_lambda=10, ratio=1e-2)[5])
-    exact, _, _ = _cd_solve(gram, xty, 0.7, lam, None, 1e-10, 100)
+    exact = _solve_stack(gram[None], xty[None], (0.7,), np.array([[lam]]),
+                         None, 1e-10, 100)[0][0, 0, 0]
     monkeypatch.setattr(elasticnet, "_active_step", lambda gram, beta, *rest: beta.copy())
-    repaired, steps, violation = _cd_solve(gram, xty, 0.7, lam, None, 1e-10, 10_000)
+    path, steps, cert = _solve_stack(gram[None], xty[None], (0.7,), np.array([[lam]]),
+                                     None, 1e-10, 10_000)
+    repaired, steps, violation = path[0, 0, 0], steps[0, 0, 0], cert[0, 0, 0]
     assert violation <= 1e-10
     assert steps > 1
     assert np.max(np.abs(repaired - exact)) <= 1e-8
@@ -556,6 +564,20 @@ class TestCvCertificate:
         assert warm.n_sweeps == 0
         assert warm.max_delta <= elasticnet.DEFAULT_TOL
         assert np.max(np.abs(x @ (warm.coefficients - cold.coefficients))) <= 1e-8
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_en_fit_is_fit_centered_on_one_row_of_ones(self, warm):
+        x, y = _standardized_problem(44, n=50, p=7)
+        lams = lambda_path(x, y, 0.6, n_lambda=10, ratio=1e-2)
+        start = en_fit(x, y, 0.6, float(lams[4])).coefficients if warm else None
+        model = en_fit(x, y, 0.6, float(lams[6]), warm_start=start)
+        beta, _, _, steps, violation = fit_centered(
+            x, y, np.ones((1, len(y))), 0.6, float(lams[6]), warm_start=start
+        )
+        assert model.n_sweeps > 0
+        assert model.coefficients.tobytes() == beta[0].tobytes()
+        assert model.n_sweeps == steps[0]
+        assert np.float64(model.max_delta).tobytes() == violation[0].tobytes()
 
     def test_fold_average_has_no_grid_start(self):
         x, y = _standardized_problem(43, n=40, p=5)

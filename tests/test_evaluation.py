@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from histgdp.evaluation import (
     write_evaluation_summary,
 )
 from histgdp.features import build_static_features
-from histgdp.numerics import mae_relative
+from histgdp.numerics import mae_relative, quantile
 from histgdp.pipeline import EstimateRecord, fit_periods, predict_log10
 from histgdp.rng import child_seed
 from conftest import small_test_config
@@ -292,6 +294,28 @@ class TestOutputs:
         summary_path = tmp_path / "evaluation_summary.json"
         write_evaluation_summary(dist, summary_path)
         assert "kruskal_wallis" in summary_path.read_text()
+
+    def test_summary_rounds_to_six_significant_digits(self, small_world, tmp_path):
+        dist = evaluate_models(small_world.dataset, small_test_config(n_splits=3),
+                               n_splits=3, master_seed=5)
+        path = tmp_path / "evaluation_summary.json"
+        write_evaluation_summary(dist, path)
+        doc = json.loads(path.read_text())
+
+        def sig6(values):
+            return {k: float(f"{v:.6g}") for k, v in values.items()}
+
+        per_period = {}
+        for s in [s for s in dist.splits if s.failed is None]:
+            for pid, value in s.per_period_mae_full.items():
+                per_period.setdefault(pid, []).append(value)
+        assert dist.medians and per_period
+        assert doc["medians"] == sig6(dist.medians)
+        assert doc["iqr"] == sig6(dist.iqr)
+        assert doc["kruskal_wallis"] == {m: sig6(t) for m, t in dist.kw.items()}
+        assert doc["median_mae_full_by_period"] == sig6(
+            {pid: quantile(v, 0.5) for pid, v in per_period.items()}
+        )
 
     def test_proxy_csv_round_trip(self, tmp_path):
         path = tmp_path / "proxy.csv"

@@ -257,6 +257,45 @@ class TestChi2Sf:
         assert chi2_sf(0.0, 3) == 1.0
         assert chi2_sf(-1.0, 3) == 1.0
 
+    # Q(df/2, x/2) from mpmath 1.3.0 at 60 digits,
+    # gammainc(df/2, x/2, inf, regularized=True), rounded to double
+    REFERENCE_X = (1e-6, 0.5, 3.84, 20.0, 200.0, 1400.0)
+    REFERENCE = {
+        1: (0.9992021155721779, 0.4795001221869535, 0.050043521248705106,
+            7.744216431044084e-06, 2.088487583762545e-45, 2.1010145162642176e-306),
+        2: (0.999999500000125, 0.7788007830714049, 0.14660696213035015,
+            4.5399929762484854e-05, 3.720075976020836e-44, 9.85967654375977e-305),
+        3: (0.9999999997340385, 0.9188914116546758, 0.2792676171186102,
+            0.00016974243555282643, 4.2185411071920426e-43, 2.945619361016309e-303),
+        4: (0.999999999999875, 0.9735009788392561, 0.4280923294206224,
+            0.0004993992273873333, 3.757276735781044e-42, 6.911633257175599e-302),
+        5: (1.0, 0.9921232932326296, 0.5726744598320886,
+            0.0012497305630313753, 2.8406228986415315e-41, 1.3765875143943704e-300),
+        7: (1.0, 0.9994464813904249, 0.7980109150360402,
+            0.005569683072945571, 1.1477812240142598e-39, 3.859963181237336e-298),
+        10: (1.0, 0.999993388289439, 0.9542763043207358,
+             0.029252688076961072, 1.6139305336977305e-37, 9.920391479800145e-295),
+        30: (1.0, 1.0, 0.9999999977393645,
+             0.9165415270653372, 4.952733529003191e-27, 7.826866361038639e-276),
+    }
+
+    @pytest.mark.parametrize("df", sorted(REFERENCE))
+    def test_against_reference_values(self, df):
+        for x, expected in zip(self.REFERENCE_X, self.REFERENCE[df]):
+            assert abs(chi2_sf(x, df) - expected) <= 1e-13 * expected, (df, x)
+
+    @pytest.mark.parametrize("df, expected", [(20, 1.5455664908593583e-282),
+                                              (24, 6.806607876776283e-279)])
+    def test_far_tail_keeps_the_exponent_rounding(self, df, expected):
+        # each term is exp(a - h) with h = 695: rounding a - h alone costs
+        # up to 6e-14 relative, which the two-sum in the exponent puts back
+        assert abs(chi2_sf(1390.0, df) - expected) <= 2e-14 * expected
+
+    @pytest.mark.parametrize("x, df", [(2.5, 1.5), (2.0, 0)])
+    def test_df_must_be_a_positive_integer(self, x, df):
+        with pytest.raises(ValidationError, match="positive integer"):
+            chi2_sf(x, df)
+
 
 class TestFitMetrics:
     def test_r2_perfect(self):

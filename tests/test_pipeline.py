@@ -331,6 +331,15 @@ class TestModelReadsRowsByName:
         for start, tpm in zip(starts, models):
             assert start is not None and np.array_equal(start, tpm.model.coefficients)
 
+    def test_final_fit_is_the_cv_full_data_solution(self, small_world, small_config):
+        ds = small_world.dataset
+        fits = list(fit_periods(ds, small_config, ds.source_levels, {}, small_config.seed))
+        assert fits
+        for fit in fits:
+            model, cv = fit.model.model, fit.model.cv
+            assert model.n_sweeps == 0
+            assert model.coefficients.tobytes() == cv.chosen_coefficients.tobytes()
+
 
 class TestRunFull:
     def test_report_certifies_every_period(self, small_run):
