@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import CHOICES, RunConfig, config_from_sources
-from .data_ingest import load_dataset, write_rejects_report
+from .data_ingest import load_dataset, write_json, write_rejects_report
 from .errors import HistGdpError, InputError, ValidationError
 from .evaluation import (
     evaluate_models,
@@ -230,9 +230,7 @@ def cmd_correlate(config, args) -> int:
         "pearson_r_estimate": res.r_estimate,
         "n_estimate": res.n_estimate,
     }
-    (out / "correlation.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "correlation.json", doc)
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

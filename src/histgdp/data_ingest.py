@@ -1,16 +1,21 @@
-"""Loading, validation, and indexing of the three input tables.
+"""The package's tables: the three input tables, and the format every
+CSV and JSON artifact is read and written in.
 
-Input files are UTF-8 CSV with RFC-4180 quoting; an empty string means a
-missing value.  Structural problems (missing file, wrong header) are
-fatal.  Row-level invariant violations (negative lifespans, non-positive
-language counts, duplicate keys) are collected into a rejects report with
-line numbers; the load aborts only when the rejected fraction exceeds a
-configurable threshold.
+Every table is UTF-8 CSV with RFC-4180 quoting; an empty string means a
+missing value.  :func:`read_table` opens one and checks its header,
+:func:`write_table` writes one, :func:`write_json` writes a JSON document,
+and :func:`format_float` gives a reported float its 6 significant digits.
+Structural problems (missing file, empty file, wrong header) are fatal.
+Row-level invariant violations in the inputs (negative lifespans,
+non-positive language counts, duplicate keys) are collected into a
+rejects report with line numbers; the load aborts only when the rejected
+fraction exceeds a configurable threshold.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -199,30 +204,60 @@ class FlowAssignment:
         return out
 
 
-def _open_csv(path, expected_header, what):
+def read_table(path, header, what):
+    """Yield ``(line, row)`` for each row of the CSV table at ``path``.
+
+    ``line`` numbers the rows from 2, the header being line 1.
+    A missing file, an empty file or a header other than ``header`` (after
+    stripping blanks) raises InputError; ``what`` names the table.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"{what} file not found: {path}")
-    handle = path.open(newline="", encoding="utf-8")
-    reader = csv.reader(handle)
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        found = next(reader, None)
+        if found is None:
+            raise InputError(f"{path}: empty file, expected header {header}")
+        found = [h.strip() for h in found]
+        if found != header:
+            missing = [c for c in header if c not in found]
+            raise InputError(
+                f"{path}: header mismatch (missing columns {missing})"
+                if missing
+                else f"{path}: header order must be {header}"
+            )
+        yield from enumerate(reader, start=2)
+
+
+def write_table(path, header, rows):
+    """Write ``header`` and then ``rows`` as a UTF-8 CSV table."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc):
+    """Write ``doc`` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def format_float(value: float) -> str:
+    """A reported float at 6 significant digits, as every artifact writes it."""
+    return f"{value:.6g}"
+
+
+def parse_field(text, kind, what, path, line):
+    """``kind(text)``; a ValidationError naming ``path:line`` when it fails."""
     try:
-        header = next(reader)
-    except StopIteration:
-        handle.close()
-        raise InputError(f"{path}: empty file, expected header {expected_header}")
-    header = [h.strip() for h in header]
-    if header != expected_header:
-        handle.close()
-        missing = [c for c in expected_header if c not in header]
-        raise InputError(
-            f"{path}: header mismatch (missing columns {missing})"
-            if missing
-            else f"{path}: header order must be {expected_header}"
-        )
-    return handle, reader
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{path}:{line}: unparseable {what} '{text}'") from None
 
 
 def _parse_int(text, what, path, line):
+    # parse_field's check written out: this runs four times per biography row
     text = text.strip()
     if text == "":
         return None
@@ -234,52 +269,50 @@ def _parse_int(text, what, path, line):
 
 def load_biographies(path) -> tuple[list[BiographyRecord], list[RejectedRow]]:
     """Parse biographies.csv; returns (records, rejected rows)."""
-    handle, reader = _open_csv(path, BIOGRAPHY_HEADER, "biographies")
     records: list[BiographyRecord] = []
     rejects: list[RejectedRow] = []
     seen: set[str] = set()
-    with handle:
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(BIOGRAPHY_HEADER):
-                rejects.append(RejectedRow(line, row[0] if row else "", "wrong field count"))
-                continue
-            (pid, name, by, dy, bloc, dloc, occ, views, langs) = [c.strip() for c in row]
-            if not pid:
-                rejects.append(RejectedRow(line, "", "missing person_id"))
-                continue
-            if pid in seen:
-                rejects.append(RejectedRow(line, pid, "duplicate person_id"))
-                continue
-            birth_year = _parse_int(by, "birth_year", path, line)
-            death_year = _parse_int(dy, "death_year", path, line)
-            pageviews = _parse_int(views, "pageviews", path, line)
-            language_editions = _parse_int(langs, "language_editions", path, line)
-            if birth_year is None:
-                rejects.append(RejectedRow(line, pid, "missing birth_year"))
-                continue
-            if death_year is not None and death_year < birth_year:
-                rejects.append(RejectedRow(line, pid, "negative lifespan"))
-                continue
-            if pageviews is None or pageviews < 0:
-                rejects.append(RejectedRow(line, pid, "missing or negative pageviews"))
-                continue
-            if language_editions is None or language_editions < 1:
-                rejects.append(RejectedRow(line, pid, "missing or non-positive language_editions"))
-                continue
-            seen.add(pid)
-            records.append(
-                BiographyRecord(
-                    person_id=pid,
-                    name=name,
-                    birth_year=birth_year,
-                    death_year=death_year,
-                    birth_location=bloc or None,
-                    death_location=dloc or None,
-                    occupation=occ.casefold().strip(),
-                    pageviews=pageviews,
-                    language_editions=language_editions,
-                )
+    for line, row in read_table(path, BIOGRAPHY_HEADER, "biographies"):
+        if len(row) != len(BIOGRAPHY_HEADER):
+            rejects.append(RejectedRow(line, row[0] if row else "", "wrong field count"))
+            continue
+        (pid, name, by, dy, bloc, dloc, occ, views, langs) = [c.strip() for c in row]
+        if not pid:
+            rejects.append(RejectedRow(line, "", "missing person_id"))
+            continue
+        if pid in seen:
+            rejects.append(RejectedRow(line, pid, "duplicate person_id"))
+            continue
+        birth_year = _parse_int(by, "birth_year", path, line)
+        death_year = _parse_int(dy, "death_year", path, line)
+        pageviews = _parse_int(views, "pageviews", path, line)
+        language_editions = _parse_int(langs, "language_editions", path, line)
+        if birth_year is None:
+            rejects.append(RejectedRow(line, pid, "missing birth_year"))
+            continue
+        if death_year is not None and death_year < birth_year:
+            rejects.append(RejectedRow(line, pid, "negative lifespan"))
+            continue
+        if pageviews is None or pageviews < 0:
+            rejects.append(RejectedRow(line, pid, "missing or negative pageviews"))
+            continue
+        if language_editions is None or language_editions < 1:
+            rejects.append(RejectedRow(line, pid, "missing or non-positive language_editions"))
+            continue
+        seen.add(pid)
+        records.append(
+            BiographyRecord(
+                person_id=pid,
+                name=name,
+                birth_year=birth_year,
+                death_year=death_year,
+                birth_location=bloc or None,
+                death_location=dloc or None,
+                occupation=occ.casefold().strip(),
+                pageviews=pageviews,
+                language_editions=language_editions,
             )
+        )
     if not records and not rejects:
         warnings.warn(f"{path}: no biography rows found", stacklevel=2)
     return records, rejects
@@ -287,59 +320,55 @@ def load_biographies(path) -> tuple[list[BiographyRecord], list[RejectedRow]]:
 
 def load_locations(path) -> LocationTable:
     """Parse locations.csv into a validated LocationTable."""
-    handle, reader = _open_csv(path, LOCATION_HEADER, "locations")
     entries = []
-    with handle:
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(LOCATION_HEADER):
-                raise ValidationError(f"{path}:{line}: wrong field count")
-            lid, name, level, parent, supra = [c.strip() for c in row]
-            if not lid:
-                raise ValidationError(f"{path}:{line}: missing location_id")
-            entries.append(
-                Location(
-                    location_id=lid,
-                    name=name,
-                    level=level,
-                    parent_country=parent or None,
-                    supranational_region=supra,
-                )
+    for line, row in read_table(path, LOCATION_HEADER, "locations"):
+        if len(row) != len(LOCATION_HEADER):
+            raise ValidationError(f"{path}:{line}: wrong field count")
+        lid, name, level, parent, supra = [c.strip() for c in row]
+        if not lid:
+            raise ValidationError(f"{path}:{line}: missing location_id")
+        entries.append(
+            Location(
+                location_id=lid,
+                name=name,
+                level=level,
+                parent_country=parent or None,
+                supranational_region=supra,
             )
+        )
     return LocationTable(entries)
 
 
 def load_gdp(path, locations: LocationTable) -> tuple[list[GdpObservation], list[RejectedRow]]:
     """Parse gdp.csv; rows violating the observation invariants are rejected."""
-    handle, reader = _open_csv(path, GDP_HEADER, "gdp")
     observations: list[GdpObservation] = []
     rejects: list[RejectedRow] = []
     seen: set[tuple[str, int]] = set()
-    with handle:
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(GDP_HEADER):
-                rejects.append(RejectedRow(line, row[0] if row else "", "wrong field count"))
-                continue
-            lid, year_s, gdp_s, source = [c.strip() for c in row]
-            year = _parse_int(year_s, "year", path, line)
-            if year is None or year not in SNAPSHOT_YEARS:
-                rejects.append(RejectedRow(line, lid, f"year not on the 50-year grid: '{year_s}'"))
-                continue
-            try:
-                gdp = float(gdp_s)
-            except ValueError:
-                rejects.append(RejectedRow(line, lid, f"unparseable gdp_pc '{gdp_s}'"))
-                continue
-            if not gdp > 0:
-                rejects.append(RejectedRow(line, lid, "non-positive gdp_pc"))
-                continue
-            if lid not in locations:
-                rejects.append(RejectedRow(line, lid, "unknown location"))
-                continue
-            if (lid, year) in seen:
-                rejects.append(RejectedRow(line, lid, f"duplicate observation for year {year}"))
-                continue
-            seen.add((lid, year))
-            observations.append(GdpObservation(lid, year, gdp, source))
+    for line, row in read_table(path, GDP_HEADER, "gdp"):
+        if len(row) != len(GDP_HEADER):
+            rejects.append(RejectedRow(line, row[0] if row else "", "wrong field count"))
+            continue
+        lid, year_s, gdp_s, source = [c.strip() for c in row]
+        year = _parse_int(year_s, "year", path, line)
+        if year is None or year not in SNAPSHOT_YEARS:
+            rejects.append(RejectedRow(line, lid, f"year not on the 50-year grid: '{year_s}'"))
+            continue
+        try:
+            gdp = float(gdp_s)
+        except ValueError:
+            rejects.append(RejectedRow(line, lid, f"unparseable gdp_pc '{gdp_s}'"))
+            continue
+        if not gdp > 0:
+            rejects.append(RejectedRow(line, lid, "non-positive gdp_pc"))
+            continue
+        if lid not in locations:
+            rejects.append(RejectedRow(line, lid, "unknown location"))
+            continue
+        if (lid, year) in seen:
+            rejects.append(RejectedRow(line, lid, f"duplicate observation for year {year}"))
+            continue
+        seen.add((lid, year))
+        observations.append(GdpObservation(lid, year, gdp, source))
     return observations, rejects
 
 
@@ -549,8 +578,8 @@ def load_dataset(
 
 def write_rejects_report(rejects, path):
     """Write the rejects report CSV next to the run outputs."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line_number", "key", "reason"])
-        for r in rejects:
-            writer.writerow([r.line_number, r.key, r.reason])
+    write_table(
+        path,
+        ["line_number", "key", "reason"],
+        ([r.line_number, r.key, r.reason] for r in rejects),
+    )

@@ -14,16 +14,14 @@ previous-period estimates through its own store.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .data_ingest import Dataset, LocationTable
+from .data_ingest import Dataset, LocationTable, format_float, parse_field, read_table
+from .data_ingest import write_json, write_table
 from .errors import HistGdpError, ValidationError
 from .features import initial_gdp
 from .numerics import kruskal_wallis, mae_relative, pearson, quantile, r2_log
@@ -297,61 +295,60 @@ def proxy_correlation(estimates, proxy_rows, transform: str = "none") -> ProxyCo
     )
 
 
+PROXY_HEADER = ["location_id", "year", "value"]
+EVALUATION_HEADER = [
+    "split_index",
+    "seed",
+    "r2_baseline",
+    "r2_full",
+    "mae_baseline",
+    "mae_full",
+    "n_test_rows",
+    "n_gated_test",
+    "failed",
+]
+
+
 def load_proxy_csv(path):
-    """Read a proxy series CSV with header ``location_id,year,value``."""
-    path = Path(path)
-    if not path.exists():
-        from .errors import InputError
+    """Read a proxy series CSV with header ``location_id,year,value``.
 
-        raise InputError(f"proxy file not found: {path}")
+    A row with the wrong field count, an unparseable number or a value that
+    is not finite raises ValidationError at its line.
+    """
     rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["location_id", "year", "value"]:
-            from .errors import InputError
-
-            raise InputError(f"{path}: expected header location_id,year,value")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ValidationError(f"{path}:{line}: wrong field count")
-            rows.append((row[0].strip(), int(row[1]), float(row[2])))
+    for line, row in read_table(path, PROXY_HEADER, "proxy"):
+        if len(row) != len(PROXY_HEADER):
+            raise ValidationError(f"{path}:{line}: wrong field count")
+        lid, year, value = row
+        number = parse_field(value, float, "value", path, line)
+        if not math.isfinite(number):
+            raise ValidationError(f"{path}:{line}: value must be finite, got '{value}'")
+        rows.append((lid.strip(), parse_field(year, int, "year", path, line), number))
     return rows
 
 
 def write_evaluation_csv(dist: PerformanceDistribution, path):
     def fmt(v):
-        return "" if v is None else f"{v:.6g}"
+        return "" if v is None else format_float(v)
 
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+    write_table(
+        path,
+        EVALUATION_HEADER,
+        (
             [
-                "split_index",
-                "seed",
-                "r2_baseline",
-                "r2_full",
-                "mae_baseline",
-                "mae_full",
-                "n_test_rows",
-                "n_gated_test",
-                "failed",
+                s.split_index,
+                s.seed,
+                fmt(s.r2_baseline),
+                fmt(s.r2_full),
+                fmt(s.mae_baseline),
+                fmt(s.mae_full),
+                s.n_test_rows,
+                s.n_gated_test,
+                s.failed or "",
             ]
-        )
-        for s in dist.splits:
-            writer.writerow(
-                [
-                    s.split_index,
-                    s.seed,
-                    fmt(s.r2_baseline),
-                    fmt(s.r2_full),
-                    fmt(s.mae_baseline),
-                    fmt(s.mae_full),
-                    s.n_test_rows,
-                    s.n_gated_test,
-                    s.failed or "",
-                ]
-            )
+            for s in dist.splits
+        ),
+    )
 
 
 def write_evaluation_summary(dist: PerformanceDistribution, path):
@@ -361,7 +358,7 @@ def write_evaluation_summary(dist: PerformanceDistribution, path):
     results rather than the solver's last bits."""
 
     def sig6(values: dict) -> dict:
-        return {k: float(f"{v:.6g}") for k, v in values.items()}
+        return {k: float(format_float(v)) for k, v in values.items()}
 
     ok = [s for s in dist.splits if s.failed is None]
     per_period: dict = {}
@@ -379,4 +376,4 @@ def write_evaluation_summary(dist: PerformanceDistribution, path):
         ),
         "total_gated_test_rows": sum(s.n_gated_test for s in dist.splits),
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)

@@ -9,14 +9,13 @@ cross-validates the closed form and covers any prediction function.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .data_ingest import format_float, write_table
 from .elasticnet import EnModel
 from .errors import ValidationError
 from .features import FeatureMatrix
@@ -176,22 +175,22 @@ def rank_features(attributions) -> list[tuple[str, float]]:
 
 
 def write_shapley_csv(attributions, path):
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["location_id", "year", "feature", "phi", "se"])
+    def rows():
         for a in attributions:
             lid, year = a.key
             se = a.se if a.se is not None else np.zeros(len(a.feature_names))
             for name, phi, err in zip(a.feature_names, a.phi, se):
-                writer.writerow([lid, year, name, f"{phi:.6g}", f"{err:.6g}"])
+                yield [lid, year, name, format_float(phi), format_float(err)]
+
+    write_table(path, ["location_id", "year", "feature", "phi", "se"], rows())
 
 
 def write_importance_csv(ranking, path):
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "mean_abs_phi"])
-        for name, value in ranking:
-            writer.writerow([name, f"{value:.6g}"])
+    write_table(
+        path,
+        ["feature", "mean_abs_phi"],
+        ([name, format_float(value)] for name, value in ranking),
+    )
 
 
 def run_explain(dataset, config) -> dict:

@@ -34,16 +34,15 @@ Feature columns, in order:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 # assign_flows is not called here; it is re-exported beside flow_counts and
 # avg_age, the per-record reference of build_static_features.
 from .data_ingest import FLOWS, LEVELS, FlowAssignment, LocationTable, assign_flows
+from .data_ingest import write_table
 from .errors import ValidationError
 from .numerics import Matrix, spearman, svd
 
@@ -737,8 +736,9 @@ def attach_initial_gdp(
 
 def write_feature_csv(fm: FeatureMatrix, path):
     """Export a feature matrix as ``feature_matrix_<year>.csv`` content."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["location_id", "year", *fm.columns])
-        for (lid, year), row in zip(fm.row_keys, fm.values):
-            writer.writerow([lid, year, *[repr(float(v)) for v in row]])
+    rows = zip(fm.row_keys, fm.values)
+    write_table(
+        path,
+        ["location_id", "year", *fm.columns],
+        ([lid, year, *[repr(float(v)) for v in row]] for (lid, year), row in rows),
+    )

@@ -14,17 +14,15 @@ intervals.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .config import DEFAULT_GATING_THRESHOLDS, GATING_RULES, RunConfig
-from .data_ingest import SNAPSHOT_YEARS, Dataset, LocationTable
+from .data_ingest import SNAPSHOT_YEARS, Dataset, LocationTable, format_float, parse_field
+from .data_ingest import read_table, write_json, write_table
 from .elasticnet import CvResult, EnModel, en_cv, en_fit, fit_centered
 from .errors import NumericalError, ValidationError
 from .features import (
@@ -675,72 +673,70 @@ def audit_rescaling(estimates, locations: LocationTable, proxy_weights: dict) ->
     return {"checked": checked, "max_rel_error": max_rel, "violations": violations}
 
 
-def format_float(value: float) -> str:
-    return f"{value:.6g}"
+ESTIMATES_HEADER = [
+    "location_id",
+    "year",
+    "gdp_pc_2011usd",
+    "ci_low",
+    "ci_high",
+    "kind",
+    "gated",
+    "rescaled",
+    "init_gdp_provenance",
+]
 
 
 def write_estimates_csv(estimates, path):
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+    write_table(
+        path,
+        ESTIMATES_HEADER,
+        (
             [
-                "location_id",
-                "year",
-                "gdp_pc_2011usd",
-                "ci_low",
-                "ci_high",
-                "kind",
-                "gated",
-                "rescaled",
-                "init_gdp_provenance",
+                e.location_id,
+                e.year,
+                format_float(e.gdp_pc),
+                format_float(e.ci_low),
+                format_float(e.ci_high),
+                e.kind,
+                "false",  # gated rows are never emitted
+                "true" if e.rescaled else "false",
+                e.init_gdp_provenance,
             ]
-        )
-        for e in estimates:
-            writer.writerow(
-                [
-                    e.location_id,
-                    e.year,
-                    format_float(e.gdp_pc),
-                    format_float(e.ci_low),
-                    format_float(e.ci_high),
-                    e.kind,
-                    "false",  # gated rows are never emitted
-                    "true" if e.rescaled else "false",
-                    e.init_gdp_provenance,
-                ]
-            )
+            for e in estimates
+        ),
+    )
 
 
 def read_estimates_csv(path) -> list:
-    """Read an estimates.csv back into EstimateRecord rows."""
-    from .errors import InputError
+    """Read an estimates.csv back into EstimateRecord rows.
 
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"estimates file not found: {path}")
+    A row with the wrong field count, an unparseable number or a GDP level
+    that is not positive and finite raises ValidationError at its line.
+    """
     records = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "location_id":
-            raise InputError(f"{path}: not an estimates.csv file")
-        for row in reader:
-            records.append(
-                EstimateRecord(
-                    location_id=row[0],
-                    year=int(row[1]),
-                    gdp_pc=float(row[2]),
-                    ci_low=float(row[3]),
-                    ci_high=float(row[4]),
-                    kind=row[5],  # row[6], gated, is always false
-                    rescaled=row[7] == "true",
-                    init_gdp_provenance=row[8],
-                )
+    for line, row in read_table(path, ESTIMATES_HEADER, "estimates"):
+        if len(row) != len(ESTIMATES_HEADER):
+            raise ValidationError(f"{path}:{line}: wrong field count")
+        lid, year, gdp, low, high, kind, _gated, rescaled, provenance = row
+        gdp_pc = parse_field(gdp, float, "gdp_pc_2011usd", path, line)
+        if not (math.isfinite(gdp_pc) and gdp_pc > 0):
+            raise ValidationError(
+                f"{path}:{line}: gdp_pc_2011usd must be positive and finite, got '{gdp}'"
             )
+        records.append(
+            EstimateRecord(
+                location_id=lid,
+                year=parse_field(year, int, "year", path, line),
+                gdp_pc=gdp_pc,
+                ci_low=parse_field(low, float, "ci_low", path, line),
+                ci_high=parse_field(high, float, "ci_high", path, line),
+                kind=kind,
+                rescaled=rescaled == "true",
+                init_gdp_provenance=provenance,
+            )
+        )
     return records
 
 
 def write_run_report(report: dict, path):
-    Path(path).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, report)

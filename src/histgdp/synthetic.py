@@ -12,13 +12,12 @@ benchmark experiments without any external data.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data_ingest import BIOGRAPHY_HEADER, GDP_HEADER, LOCATION_HEADER
+from .data_ingest import BIOGRAPHY_HEADER, GDP_HEADER, LOCATION_HEADER, write_table
 from .data_ingest import BiographyRecord, Dataset, GdpObservation, Location, LocationTable
 from .errors import ValidationError
 from .features import build_static_features
@@ -205,41 +204,45 @@ def write_world_csv(dataset: Dataset, directory) -> dict:
         "locations": directory / "locations.csv",
         "gdp": directory / "gdp.csv",
     }
-    with paths["biographies"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BIOGRAPHY_HEADER)
-        for r in dataset.records:
-            writer.writerow(
-                [
-                    r.person_id,
-                    r.name,
-                    r.birth_year,
-                    "" if r.death_year is None else r.death_year,
-                    r.birth_location or "",
-                    r.death_location or "",
-                    r.occupation,
-                    r.pageviews,
-                    r.language_editions,
-                ]
-            )
-    with paths["locations"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOCATION_HEADER)
-        for lid in dataset.locations.ids():
-            loc = dataset.locations.get(lid)
-            writer.writerow(
-                [
-                    loc.location_id,
-                    loc.name,
-                    loc.level,
-                    loc.parent_country or "",
-                    loc.supranational_region,
-                ]
-            )
-    with paths["gdp"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GDP_HEADER)
-        for obs in dataset.gdp:
-            writer.writerow([obs.location_id, obs.year, repr(float(obs.gdp_pc)), obs.source])
+    write_table(
+        paths["biographies"],
+        BIOGRAPHY_HEADER,
+        (
+            [
+                r.person_id,
+                r.name,
+                r.birth_year,
+                "" if r.death_year is None else r.death_year,
+                r.birth_location or "",
+                r.death_location or "",
+                r.occupation,
+                r.pageviews,
+                r.language_editions,
+            ]
+            for r in dataset.records
+        ),
+    )
+    write_table(
+        paths["locations"],
+        LOCATION_HEADER,
+        (
+            [
+                loc.location_id,
+                loc.name,
+                loc.level,
+                loc.parent_country or "",
+                loc.supranational_region,
+            ]
+            for loc in map(dataset.locations.get, dataset.locations.ids())
+        ),
+    )
+    write_table(
+        paths["gdp"],
+        GDP_HEADER,
+        (
+            [obs.location_id, obs.year, repr(float(obs.gdp_pc)), obs.source]
+            for obs in dataset.gdp
+        ),
+    )
     return paths
 

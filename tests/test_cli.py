@@ -202,3 +202,61 @@ class TestCorrelate:
         doc = json.loads((tmp_path / "correlation.json").read_text())
         assert doc["pearson_r"] == pytest.approx(1.0, abs=1e-9)
         assert doc["n"] == 50
+
+
+class TestCorrelateInputs:
+    ESTIMATES = [
+        "location_id,year,gdp_pc_2011usd,ci_low,ci_high,kind,gated,rescaled,init_gdp_provenance",
+        "A,1300,1000,1000,1000,source,false,false,",
+        "B,1300,1500,1400,1600,estimate,false,false,source",
+        "C,1300,1200,1100,1300,estimate,false,true,model",
+    ]
+    PROXY = ["location_id,year,value", "A,1300,1.0", "B,1300,2.5", "C,1300,2.0"]
+
+    def test_feature_matrix_is_not_an_estimates_file(self, config_file, world_files,
+                                                      tmp_path, capsys):
+        assert run(["features", "--config", config_file, "--output-dir", tmp_path]) == 0
+        # a proxy that matches the world's source rows
+        proxy = tmp_path / "proxy.csv"
+        gdp_rows = world_files["gdp"].read_text().splitlines()[1:]
+        proxy.write_text(
+            "location_id,year,value\n"
+            + "".join(f"{r.split(',')[0]},{r.split(',')[1]},1.0\n" for r in gdp_rows)
+        )
+        capsys.readouterr()
+        code = run([
+            "correlate", "--output-dir", tmp_path, "--proxies", proxy,
+            "--estimates", tmp_path / "feature_matrix_1300.csv",
+        ])
+        assert code == 3
+        assert "header mismatch" in capsys.readouterr().err
+        assert not (tmp_path / "correlation.json").exists()
+
+    @pytest.mark.parametrize(
+        "table, bad_row",
+        [
+            ("estimates", "C,1300,1200"),
+            ("estimates", "C,13x0,1200,1100,1300,estimate,false,true,model"),
+            ("estimates", "C,1300,abc,1100,1300,estimate,false,true,model"),
+            ("estimates", "C,1300,0,0,0,estimate,false,true,model"),
+            ("proxy", "C,13x0,2.0"),
+            ("proxy", "C,1300,abc"),
+            ("proxy", "C,1300,nan"),
+        ],
+        ids=["short-row", "year", "gdp", "zero-gdp", "proxy-year", "proxy-value", "proxy-nan"],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, capsys, table, bad_row):
+        lines = {"estimates": list(self.ESTIMATES), "proxy": list(self.PROXY)}
+        lines[table][3] = bad_row
+        paths = {}
+        for name, content in lines.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("\n".join(content) + "\n")
+        code = run([
+            "correlate", "--output-dir", tmp_path, "--transform", "log10",
+            "--proxies", paths["proxy"], "--estimates", paths["estimates"],
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{paths[table]}:4:" in err
+        assert "Traceback" not in err

@@ -301,3 +301,26 @@ class TestLoadDataset:
                 tmp_path / "locations.csv",
                 tmp_path / "gdp.csv",
             )
+
+
+def test_write_world_csv_round_trip(tmp_path):
+    from histgdp.synthetic import make_synthetic_world, write_world_csv
+
+    world = make_synthetic_world(
+        n_countries=5,
+        n_occupations=4,
+        period_ids=("late_middle_ages", "early_modern"),
+        seed=4,
+        n_regions_per_country=1,
+        n_supra=2,
+        label_fraction=0.7,
+        true_coefficients={"births.occ00": 0.45, "immigrants.total": 0.4},
+    ).dataset
+    paths = write_world_csv(world, tmp_path)
+    loaded = load_dataset(paths["biographies"], paths["locations"], paths["gdp"])
+    assert loaded.records == world.records
+    assert loaded.gdp == world.gdp
+    assert loaded.rejects == []
+    ids = world.locations.ids()
+    assert loaded.locations.ids() == ids
+    assert [loaded.locations.get(i) for i in ids] == [world.locations.get(i) for i in ids]

@@ -496,3 +496,20 @@ class TestRunReportEci:
             assert 0.0 <= entry["min_gap"] and entry["max_residual"] <= 1e-10
             for year, level, flow in entry["near_degenerate"]:
                 assert year in period.snapshots and level in LEVELS and flow in FLOWS
+
+
+def test_estimates_csv_round_trip(small_run, tmp_path):
+    from histgdp.pipeline import read_estimates_csv
+
+    def at_six_digits(e):
+        return replace(
+            e,
+            gdp_pc=float(format_float(e.gdp_pc)),
+            ci_low=float(format_float(e.ci_low)),
+            ci_high=float(format_float(e.ci_high)),
+        )
+
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(small_run.estimates, path)
+    assert small_run.estimates
+    assert read_estimates_csv(path) == [at_six_digits(e) for e in small_run.estimates]
