@@ -33,7 +33,7 @@ config = RunConfig(alpha_grid=(0.5, 1.0), n_lambda=12, lambda_ratio=1e-2,
 
 fits = {
     fit.period.period_id: fit
-    for fit in fit_periods(world.dataset, config, world.dataset.source_levels, {}, config.seed)
+    for fit in fit_periods(world.dataset, config, [(world.dataset.source_levels, config.seed)], {})
 }
 tpm, fm = fits["early_modern"].model, fits["early_modern"].features
 labeled = fm.subset(list(tpm.training_keys))

@@ -163,7 +163,7 @@ def cmd_features(config) -> int:
     out = _outdir(config)
     dataset = _load(config)
     n_written = 0
-    for fit in fit_periods(dataset, config, dataset.source_levels, {}, config.seed):
+    for fit in fit_periods(dataset, config, [(dataset.source_levels, config.seed)], {}):
         for year in fit.period.snapshots:
             year_keys = [k for k in fit.features.row_keys if k[1] == year]
             write_feature_csv(fit.features.subset(year_keys), out / f"feature_matrix_{year}.csv")

@@ -68,7 +68,11 @@ class RunConfig:
     gating_thresholds: tuple = DEFAULT_GATING_THRESHOLDS
     # reproducibility
     seed: int = 0
-    threads: int = 1
+    threads: int = field(
+        default=1,
+        metadata={"help": "no effect: held-out splits run in batches on one thread; "
+                          "kept so that existing configs still load"},
+    )
 
     def __post_init__(self):
         self.alpha_grid = tuple(float(a) for a in self.alpha_grid)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -360,6 +361,9 @@ def load_gdp(path, locations: LocationTable) -> tuple[list[GdpObservation], list
             continue
         if not gdp > 0:
             rejects.append(RejectedRow(line, lid, "non-positive gdp_pc"))
+            continue
+        if math.isinf(gdp):
+            rejects.append(RejectedRow(line, lid, "infinite gdp_pc"))
             continue
         if lid not in locations:
             rejects.append(RejectedRow(line, lid, "unknown location"))

@@ -26,8 +26,9 @@ padded with identity rows to the largest.  One builder,
 :func:`_centered_systems`, makes every Gram from multiplicity weights,
 ``Xc' diag(w) Xc``: 0/1 weights give the CV folds' training rows, a row
 of ones the full data, and ``np.bincount`` counts the bootstrap
-resamples.  So :func:`en_cv` solves every fold x alpha path, plus the
-full-data path, in one call; :func:`fit_centered` is the one fit at a
+resamples.  So :func:`solve_cv` solves every fold x alpha path, plus the
+full-data path, of a whole batch of cross-validations in one call, and
+:func:`en_cv` is that batch of one; :func:`fit_centered` is the one fit at a
 fixed (alpha, lambda), and solves all bootstrap replicates of a period in
 one call; and :func:`en_fit` is :func:`fit_centered` on one row of ones.
 """
@@ -217,8 +218,9 @@ def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
     """Exact active-set elastic net on a stack of independent problems.
 
     ``gram`` ``(S, p, p)`` and ``xty`` ``(S, p)`` are ``S`` Gram systems;
-    each is solved for every ``alphas[a]`` along its own path
-    ``lams[a]`` (``lams`` is ``(A, L)``), giving ``S * A`` problems that
+    system ``s`` is solved for every ``alphas[a]`` along its own path
+    ``lams[s, a]`` (``lams`` is ``(S, A, L)``, or ``(A, L)`` shared by
+    every system), giving ``S * A`` problems that
     all start from ``beta0`` (broadcast to ``(S, A, p)``; zeros when
     None).  Every iteration takes one step for every unfinished problem:
     the stationarity equations of its current sign pattern are solved
@@ -238,10 +240,10 @@ def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
     """
     gram = np.ascontiguousarray(gram, dtype=float)
     n_sys, p = xty.shape
-    n_alpha, n_lam = lams.shape
+    n_alpha, n_lam = np.shape(lams)[-2:]
     n = n_sys * n_alpha
-    which_alpha = np.tile(np.arange(n_alpha), n_sys)
-    alpha = np.asarray(alphas, dtype=float)[which_alpha]
+    lams = np.broadcast_to(lams, (n_sys, n_alpha, n_lam)).reshape(n, n_lam)
+    alpha = np.tile(np.asarray(alphas, dtype=float), n_sys)
     xty = np.repeat(xty, n_alpha, axis=0)
     beta = np.zeros((n_sys, n_alpha, p))
     if beta0 is not None:
@@ -253,7 +255,7 @@ def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
     pos = np.zeros(n, dtype=int)
     here = np.zeros(n, dtype=int)  # steps at the current lambda
     running = np.ones(n, dtype=bool)
-    lam = lams[which_alpha, 0]
+    lam = lams[:, 0]
     l1 = lam * alpha / 2.0
     l2 = lam * (1.0 - alpha)
     l1_col, l2_col = l1[:, None], l2[:, None]  # views: they follow l1 and l2
@@ -288,7 +290,7 @@ def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
                 shape = (n_sys, n_alpha, n_lam)
                 return path.reshape(shape + (p,)), steps.reshape(shape), cert.reshape(shape)
             idx, i = idx[more], i[more]
-            lam = lams[which_alpha[idx], i]
+            lam = lams[idx, i]
             l1[idx] = lam * alpha[idx] / 2.0
             l2[idx] = lam * (1.0 - alpha[idx])
             c = xty - gb - l2_col * beta
@@ -340,7 +342,7 @@ def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
         beta, gb, c = trial, gb_trial, c_trial
 
 
-def _centered_systems(x, y, weights):
+def _centered_systems(x, y, weights, out=None):
     """Centred Gram systems of one design under rows of multiplicity weights.
 
     Row ``i`` enters system ``s`` ``weights[s, i]`` times: bootstrap counts
@@ -348,16 +350,18 @@ def _centered_systems(x, y, weights):
     system is centred on its own weighted column and response means, and
     its Gram ``Xc' diag(w) Xc`` is one symmetric product of the rows with
     nonzero weight scaled by ``sqrt(w)``, without copying repeated rows.
-    Returns the Gram stack ``(S, p, p)``, built in place,
-    ``Xc' diag(w) yc`` ``(S, p)``, the column means ``(S, p)`` and the
-    response means ``(S,)``.
+    Returns the Gram stack ``(S, p, p)``, ``Xc' diag(w) yc`` ``(S, p)``,
+    the column means ``(S, p)`` and the response means ``(S,)``.  The two
+    stacks are built in place: in ``out``, a ``(grams, xty)`` pair of
+    views of that shape, when given.
     """
     w = np.asarray(weights, dtype=float)
     totals = w.sum(axis=1)
     col_means = (w @ x) / totals[:, None]
     y_means = (w @ y) / totals
-    grams = np.empty((w.shape[0], x.shape[1], x.shape[1]))
-    xty = np.empty((w.shape[0], x.shape[1]))
+    if out is None:
+        out = np.empty((w.shape[0], x.shape[1], x.shape[1])), np.empty((w.shape[0], x.shape[1]))
+    grams, xty = out
     for s in range(w.shape[0]):
         rows = np.flatnonzero(w[s])
         root = np.sqrt(w[s, rows])
@@ -587,7 +591,21 @@ class CvResult:
     chosen_steps: int = 0
 
 
-def en_cv(
+@dataclass(frozen=True)
+class CvDesign:
+    """One k-fold cross-validation before its solve: the standardized
+    design ``x`` and response ``y``, the validation rows of each fold, and
+    the lambda path ``lams[a]`` of each ``alphas[a]``."""
+
+    x: np.ndarray
+    y: np.ndarray
+    folds: tuple
+    alphas: tuple
+    lams: np.ndarray
+    selection_rule: str
+
+
+def cv_design(
     x,
     y,
     alpha_grid=DEFAULT_ALPHA_GRID,
@@ -597,24 +615,11 @@ def en_cv(
     n_lambda: int = 100,
     lambda_ratio: float = 1e-4,
     selection_rule: str = "min_mean",
-    tol: float = DEFAULT_TOL,
-) -> CvResult:
-    """k-fold cross-validation over an (alpha, lambda) grid.
+) -> CvDesign:
+    """Check :func:`en_cv`'s arguments and draw its folds and lambda paths.
 
-    Rows are shuffled once with the seed and cut into k contiguous folds.
-    Each fold's training rows give one centred Gram system (0/1
-    multiplicity weights), and the full data one more; every system's
-    path over every alpha is solved in one :func:`_solve_stack` call,
-    warm-started from the previous lambda.  Columns and response are
-    centred on the training fold so the intercept is handled exactly;
-    scale stays that of the (globally standardized) input.  The default
-    rule picks the grid cell with minimum mean validation MSE, breaking
-    ties toward larger lambda (the sparser model).  The ``fold_average``
-    rule instead takes each fold's own optimum and averages the chosen
-    (alpha, lambda) pairs.  Under ``min_mean`` the full-data solution at
-    the chosen cell is kept as ``chosen_coefficients``: :func:`en_fit`
-    builds the same system (up to rounding), so a final fit started there
-    takes no step unless rounding lifts its KKT violation above ``tol``.
+    Rows are shuffled once with the seed and cut into k contiguous folds;
+    each alpha gets its :func:`lambda_path` on the whole design.
     """
     values, _ = _unpack(x)
     yv = np.asarray(y, dtype=float)
@@ -628,24 +633,68 @@ def en_cv(
         raise ValidationError("en_cv: alpha grid must be non-empty within [0, 1]")
     if selection_rule not in ("min_mean", "fold_average"):
         raise ValidationError(f"en_cv: unknown selection rule '{selection_rule}'")
-
     order = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(order, k)
     lams = np.array(
         [lambda_path(values, yv, a, n_lambda=n_lambda, ratio=lambda_ratio) for a in alpha_grid]
     )
-    weights = np.ones((k + 1, n))  # the last system is the full data
-    for f, val_idx in enumerate(folds):
-        weights[f, val_idx] = 0.0
-    gram, xty, col_means, y_means = _centered_systems(values, yv, weights)
-    path, steps, cert = _solve_stack(gram, xty, alpha_grid, lams, None, tol, DEFAULT_MAX_STEPS)
+    return CvDesign(values, yv, tuple(np.array_split(order, k)), alpha_grid, lams, selection_rule)
 
+
+def solve_cv(designs, tol: float = DEFAULT_TOL) -> list:
+    """Solve and score a batch of cross-validations in one stacked solve.
+
+    Each design gives one centred Gram system per fold (its training rows
+    as 0/1 multiplicity weights) and one for the full data, built straight
+    into one stack; designs narrower than the widest are padded with zero
+    columns, which never enter an active set.  Every system keeps its
+    design's lambda paths, and one :func:`_solve_stack` call solves every
+    system's path over every alpha, warm-started from the previous lambda.
+    The designs share one alpha grid and path length (one config's).  A
+    :class:`NumericalError` of the stacked solve is retried design by
+    design, so it fails only the designs that fail alone.  Returns, per
+    design, its :class:`CvResult` or the :class:`NumericalError` it
+    raised.
+    """
+    if not designs:
+        return []
+    alphas, n_lambda = designs[0].alphas, designs[0].lams.shape[1]
+    sizes = [len(d.folds) + 1 for d in designs]
+    starts = np.cumsum([0] + sizes)
+    p = max(d.x.shape[1] for d in designs)
+    gram = np.zeros((starts[-1], p, p))
+    xty = np.zeros((starts[-1], p))
+    lams = np.empty((starts[-1], len(alphas), n_lambda))
+    centres = []
+    for d, a, b in zip(designs, starts, starts[1:]):
+        w = d.x.shape[1]
+        weights = np.ones((b - a, d.x.shape[0]))  # the last system is the full data
+        for f, val_idx in enumerate(d.folds):
+            weights[f, val_idx] = 0.0
+        centres.append(_centered_systems(d.x, d.y, weights, (gram[a:b, :w, :w], xty[a:b, :w]))[2:])
+        lams[a:b] = d.lams
+    try:
+        path, steps, cert = _solve_stack(gram, xty, alphas, lams, None, tol, DEFAULT_MAX_STEPS)
+    except NumericalError as err:
+        if len(designs) == 1:
+            return [err]
+        return [result for d in designs for result in solve_cv([d], tol)]
+    return [
+        _score_cv(d, path[a:b, ..., : d.x.shape[1]], steps[a:b], cert[a:b], *centre)
+        for d, a, b, centre in zip(designs, starts, starts[1:], centres)
+    ]
+
+
+def _score_cv(design: CvDesign, path, steps, cert, col_means, y_means) -> CvResult:
+    """The CV surface of one design from its solved systems: the folds'
+    paths first, the full-data path last."""
+    values, yv, lams = design.x, design.y, design.lams
+    k = len(design.folds)
     n_cells = lams.size
     fold_mses = np.empty((k, n_cells))
-    for f, val_idx in enumerate(folds):
+    for f, val_idx in enumerate(design.folds):
         pred = y_means[f] + path[f].reshape(n_cells, -1) @ (values[val_idx] - col_means[f]).T
         fold_mses[f] = np.mean((pred - yv[val_idx]) ** 2, axis=1)
-    cell_alphas = np.repeat(np.array(alpha_grid, dtype=float), lams.shape[1])
+    cell_alphas = np.repeat(np.array(design.alphas, dtype=float), lams.shape[1])
     cell_lambdas = lams.ravel()
     cell_mean = fold_mses.mean(axis=0)
     cell_sd = fold_mses.std(axis=0)
@@ -661,7 +710,7 @@ def en_cv(
         fold_choices.append((float(cell_alphas[j]), float(cell_lambdas[j])))
 
     chosen_coefficients, chosen_steps = None, 0
-    if selection_rule == "fold_average":
+    if design.selection_rule == "fold_average":
         chosen_alpha = float(np.mean([c[0] for c in fold_choices]))
         chosen_lambda = float(np.mean([c[1] for c in fold_choices]))
     else:
@@ -680,11 +729,48 @@ def en_cv(
         chosen_alpha=chosen_alpha,
         chosen_lambda=chosen_lambda,
         fold_choices=tuple(fold_choices),
-        selection_rule=selection_rule,
+        selection_rule=design.selection_rule,
         kkt_violation=float(cert.max()),
         chosen_coefficients=chosen_coefficients,
         chosen_steps=chosen_steps,
     )
+
+
+def en_cv(
+    x,
+    y,
+    alpha_grid=DEFAULT_ALPHA_GRID,
+    k: int = 10,
+    seed: int = 0,
+    *,
+    n_lambda: int = 100,
+    lambda_ratio: float = 1e-4,
+    selection_rule: str = "min_mean",
+    tol: float = DEFAULT_TOL,
+) -> CvResult:
+    """k-fold cross-validation over an (alpha, lambda) grid: the
+    :func:`cv_design` of the arguments, solved by :func:`solve_cv` as a
+    batch of one.
+
+    Columns and response are centred on the training fold so the
+    intercept is handled exactly; scale stays that of the (globally
+    standardized) input.  The default rule picks the grid cell with
+    minimum mean validation MSE, breaking ties toward larger lambda (the
+    sparser model).  The ``fold_average`` rule instead takes each fold's
+    own optimum and averages the chosen (alpha, lambda) pairs.  Under
+    ``min_mean`` the full-data solution at the chosen cell is kept as
+    ``chosen_coefficients``: :func:`en_fit` builds the same system (up to
+    rounding), so a final fit started there takes no step unless rounding
+    lifts its KKT violation above ``tol``.
+    """
+    design = cv_design(
+        x, y, alpha_grid, k, seed,
+        n_lambda=n_lambda, lambda_ratio=lambda_ratio, selection_rule=selection_rule,
+    )
+    (result,) = solve_cv([design], tol)
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def fit_centered(x, y, weights, alpha, lam, *, warm_start=None, tol=DEFAULT_TOL):

@@ -9,7 +9,10 @@ country's income enters only as ground truth.  The full model runs the
 estimation loop itself, :func:`pipeline.fit_periods`, so its lag column
 chains through the rescaled levels exactly as ``estimate``'s does; it is
 scored on its own prediction before rescaling.  The baseline chains its
-previous-period estimates through its own store.
+previous-period estimates through its own store.  Splits are independent,
+so they run period-major in batches: one period loop advances a batch of
+splits together and solves a period's cross-validations of all of them in
+one stacked solve.
 """
 
 from __future__ import annotations
@@ -29,10 +32,14 @@ from .pipeline import build_statics, fit_baseline, fit_periods, fitted_periods
 # benchmarks/tracing.py wraps these names under this module
 from .features import build_static_features  # noqa: F401
 from .pipeline import predict_gated, train_period  # noqa: F401
-from .rng import child_seed, parallel_map
+from .rng import child_seed
 
 MIN_COUNTRIES = 5
 MIN_TEST_ROWS = 5
+# Byte budget of one batch of splits' stacked CV systems (Grams and
+# paths): 4 splits of the benchmark's evaluate config, 1 at the paper's
+# 11 alphas x 100 lambdas x 10 folds, where one split's paths take 7.9 MB.
+BATCH_BYTES = 5 << 18
 
 
 @dataclass(frozen=True)
@@ -124,14 +131,24 @@ def summarize_performance(splits) -> PerformanceDistribution:
     )
 
 
-def run_single_split(
-    dataset: Dataset,
-    config: RunConfig,
-    statics: dict,
-    split_index: int,
-    master_seed: int,
-) -> SplitMetrics:
-    """One split of the protocol: hold out countries, tune, fit, score."""
+@dataclass
+class HeldOutSplit:
+    """One split's state across the period loop: its seed, the levels it
+    trains on, its test rows, the baseline's lag store, and the rows scored
+    so far (period id -> [(full, baseline, observed)] in log10)."""
+
+    index: int
+    seed: int
+    train_source: dict
+    test_keys: set
+    base_store: dict = field(default_factory=dict)
+    scored: dict = field(default_factory=dict)
+    n_gated_test: int = 0
+
+
+def open_split(dataset: Dataset, config: RunConfig, split_index: int,
+               master_seed: int) -> HeldOutSplit:
+    """Draw split ``split_index``'s test countries and withhold their levels."""
     locations = dataset.locations
     split_seed = child_seed(master_seed, "split", split_index)
     spec = split_countries(
@@ -139,75 +156,142 @@ def run_single_split(
     )
     test_locs = set(spec.test_locations)
     source = dataset.source_levels
-    train_source = {k: v for k, v in source.items() if k[0] not in test_locs}
-    test_keys = {k for k in source if k[0] in test_locs}
+    return HeldOutSplit(
+        index=split_index,
+        seed=split_seed,
+        train_source={k: v for k, v in source.items() if k[0] not in test_locs},
+        test_keys={k for k in source if k[0] in test_locs},
+    )
 
-    base_store: dict = {}
-    scored: dict = {}  # period id -> [(full, baseline, observed) in log10]
-    n_gated_test = 0
 
-    for fit in fit_periods(dataset, config, train_source, statics, split_seed):
-        period = fit.period
-        # no-leakage guarantee: the tuning matrix rows are disjoint from test keys
-        leaked = set(fit.labels) & test_keys
-        if leaked:
-            raise ValidationError(
-                f"run_single_split: {len(leaked)} test row(s) reached the tuning "
-                f"matrix, first {min(leaked)}"
+def score_period(dataset: Dataset, split: HeldOutSplit, fit) -> None:
+    """A split's stage of one fitted period: check that no test row reached
+    the tuning matrix, fit the baseline, and score both models on the
+    period's test rows."""
+    locations = dataset.locations
+    period = fit.period
+    # no-leakage guarantee: the tuning matrix rows are disjoint from test keys
+    leaked = set(fit.labels) & split.test_keys
+    if leaked:
+        raise ValidationError(
+            f"split {split.index}: {len(leaked)} test row(s) reached the tuning "
+            f"matrix, first {min(leaked)}"
+        )
+
+    def base_lag(lid):
+        if period.prev_end is None:
+            return None
+        return initial_gdp(lid, period.prev_end, split.train_source, split.base_store,
+                           locations)[0]
+
+    base_keys = sorted(fit.labels)
+    y_train = [math.log10(fit.labels[k]) for k in base_keys]
+    base_init = None if period.prev_end is None else [base_lag(lid) for lid, _ in base_keys]
+    baseline = fit_baseline(base_keys, y_train, base_init, locations, period)
+    # the full model is scored on its own prediction, before regional rescaling
+    en_preds = fit.predictions
+    base_preds = {
+        (lid, year): baseline.predict_one(locations.supra_of(lid), year, base_lag(lid))
+        for lid, year in sorted(en_preds)
+    }
+    split.base_store.update({k: 10.0 ** v for k, v in base_preds.items()})
+
+    gated_set = set(fit.gated)
+    source = dataset.source_levels
+    for key in sorted(k for k in split.test_keys if k[1] in period.snapshots):
+        if key in gated_set:
+            split.n_gated_test += 1
+        elif key in en_preds:
+            split.scored.setdefault(period.period_id, []).append(
+                (en_preds[key], base_preds[key], math.log10(source[key]))
             )
 
-        def base_lag(lid):
-            if period.prev_end is None:
-                return None
-            return initial_gdp(lid, period.prev_end, train_source, base_store, locations)[0]
 
-        base_keys = sorted(fit.labels)
-        y_train = [math.log10(fit.labels[k]) for k in base_keys]
-        base_init = None if period.prev_end is None else [base_lag(lid) for lid, _ in base_keys]
-        baseline = fit_baseline(base_keys, y_train, base_init, locations, period)
-        # the full model is scored on its own prediction, before regional rescaling
-        en_preds = fit.predictions
-        base_preds = {
-            (lid, year): baseline.predict_one(locations.supra_of(lid), year, base_lag(lid))
-            for lid, year in sorted(en_preds)
-        }
-        base_store.update({k: 10.0 ** v for k, v in base_preds.items()})
-
-        gated_set = set(fit.gated)
-        for key in sorted(k for k in test_keys if k[1] in period.snapshots):
-            if key in gated_set:
-                n_gated_test += 1
-            elif key in en_preds:
-                scored.setdefault(period.period_id, []).append(
-                    (en_preds[key], base_preds[key], math.log10(source[key]))
-                )
-
-    rows = [row for rs in scored.values() for row in rs]
+def split_metrics(split: HeldOutSplit) -> SplitMetrics:
+    """A scored split's metrics; failed when it has too few test rows."""
+    rows = [row for rs in split.scored.values() for row in rs]
     if len(rows) < MIN_TEST_ROWS:
         return SplitMetrics(
-            split_index=split_index,
-            seed=split_seed,
+            split_index=split.index,
+            seed=split.seed,
             n_test_rows=len(rows),
-            n_gated_test=n_gated_test,
+            n_gated_test=split.n_gated_test,
             failed=f"only {len(rows)} usable test rows (< {MIN_TEST_ROWS})",
         )
     en_log, base_log, obs_log = (np.array(column) for column in zip(*rows))
     obs_level = np.power(10.0, obs_log)
     per_period_mae = {
         pid: mae_relative(np.power(10.0, [r[0] for r in rs]), np.power(10.0, [r[2] for r in rs]))
-        for pid, rs in scored.items()
+        for pid, rs in split.scored.items()
     }
     return SplitMetrics(
-        split_index=split_index,
-        seed=split_seed,
+        split_index=split.index,
+        seed=split.seed,
         r2_baseline=r2_log(base_log, obs_log),
         r2_full=r2_log(en_log, obs_log),
         mae_baseline=mae_relative(np.power(10.0, base_log), obs_level),
         mae_full=mae_relative(np.power(10.0, en_log), obs_level),
         n_test_rows=len(rows),
-        n_gated_test=n_gated_test,
+        n_gated_test=split.n_gated_test,
         per_period_mae_full=per_period_mae,
     )
+
+
+def run_single_split(
+    dataset: Dataset,
+    config: RunConfig,
+    statics: dict,
+    split_index: int,
+    master_seed: int,
+) -> SplitMetrics:
+    """One split of the protocol: hold out countries, tune, fit, score.
+    The batch of one of :func:`evaluate_batch`."""
+    return evaluate_batch(dataset, config, statics, [split_index], master_seed)[0]
+
+
+def evaluate_batch(dataset: Dataset, config: RunConfig, statics: dict, split_indices,
+                   master_seed: int) -> list:
+    """Splits run period-major: one :func:`pipeline.fit_periods` batch, so
+    every period's cross-validations of all the splits are one stacked
+    solve.  A split whose own stages raise a :class:`HistGdpError` is
+    recorded as failed with its reason, and the others go on; any other
+    exception propagates.  Returns the splits' metrics in index order.
+    """
+    splits, failures = [], {}
+    for run, split_index in enumerate(split_indices):
+        try:
+            splits.append(open_split(dataset, config, split_index, master_seed))
+        except HistGdpError as err:
+            splits.append(None)
+            failures[run] = err
+    runs = [({}, 0) if s is None else (s.train_source, s.seed) for s in splits]
+    for fit in fit_periods(dataset, config, runs, statics, failures):
+        try:
+            score_period(dataset, splits[fit.run], fit)
+        except HistGdpError as err:  # an expected failure; bugs still raise
+            failures[fit.run] = err
+    return [
+        SplitMetrics(
+            split_index=split_index,
+            seed=child_seed(master_seed, "split", split_index),
+            failed=f"{type(failures[run]).__name__}: {failures[run]}",
+        )
+        if run in failures else split_metrics(splits[run])
+        for run, split_index in enumerate(split_indices)
+    ]
+
+
+def split_batch_size(config: RunConfig, width: int) -> int:
+    """How many splits :func:`evaluate_models` advances together: as many
+    as keep their stacked CV systems within ``BATCH_BYTES``, at least one.
+
+    Per split and period that is ``k + 1`` Gram systems of ``width``
+    columns, ``(k + 1) * width**2`` floats, and their paths over every
+    alpha and lambda, ``(k + 1) * A * L * width`` floats.
+    """
+    systems = config.k_folds + 1
+    paths = len(config.alpha_grid) * config.n_lambda
+    return max(1, BATCH_BYTES // (8 * systems * width * (width + paths)))
 
 
 def evaluate_models(
@@ -219,9 +303,12 @@ def evaluate_models(
 ) -> PerformanceDistribution:
     """Repeat the country-held-out protocol over independently seeded splits.
 
-    A split that raises a :class:`HistGdpError` is recorded as failed with
-    its reason, never silently dropped; any other exception propagates.
-    A prebuilt ``statics`` cache (built with the same feature settings)
+    The splits run in batches of :func:`split_batch_size` through
+    :func:`evaluate_batch`.  Each split's result is independent of the
+    batch it ran in, up to the rounding of the stacked solve.  A split
+    that raises a :class:`HistGdpError` is recorded as failed with its
+    reason, never silently dropped; any other exception propagates.  A
+    prebuilt ``statics`` cache (built with the same feature settings)
     lets repeated evaluations on one dataset skip feature construction.
     """
     if n_splits is None:
@@ -229,20 +316,14 @@ def evaluate_models(
     if master_seed is None:
         master_seed = config.seed
     years = [y for p in fitted_periods(dataset.source_levels) for y in p.snapshots]
-    # built before the splits start, so their threads only read the cache
     statics = build_statics(dataset, config, years, {} if statics is None else statics)
-
-    def one(split_index):
-        try:
-            return run_single_split(dataset, config, statics, split_index, master_seed)
-        except HistGdpError as err:  # an expected failure; bugs still raise
-            return SplitMetrics(
-                split_index=split_index,
-                seed=child_seed(master_seed, "split", split_index),
-                failed=f"{type(err).__name__}: {err}",
-            )
-
-    splits = parallel_map(one, range(n_splits), threads=config.threads)
+    # the design's widest: every feature column plus the lag column
+    width = 1 + max((len(statics[y].matrix.columns) for y in years), default=0)
+    size = split_batch_size(config, width)
+    splits = []
+    for start in range(0, n_splits, size):
+        indices = range(start, min(start + size, n_splits))
+        splits.extend(evaluate_batch(dataset, config, statics, indices, master_seed))
     return summarize_performance(splits)
 
 

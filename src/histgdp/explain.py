@@ -202,7 +202,7 @@ def run_explain(dataset, config) -> dict:
     from .pipeline import fit_periods
 
     out = {}
-    for fit in fit_periods(dataset, config, dataset.source_levels, {}, config.seed):
+    for fit in fit_periods(dataset, config, [(dataset.source_levels, config.seed)], {}):
         labeled = fit.features.subset(list(fit.model.training_keys))
         attributions = attribute_rows(fit.model.model, labeled, background=labeled)
         out[fit.period.period_id] = (attributions, rank_features(attributions))

@@ -4,12 +4,14 @@ hierarchy, gated prediction, regional rescaling, and bootstrap intervals.
 Periods run strictly in chronological order because each period's
 ``init_gdp`` feature draws on the previous period's source data and model
 estimates.  :func:`fit_periods` is that loop, shared by estimation, the
-held-out evaluation, the feature export and the attributions.  Within a
-period it builds features for every snapshot year, trains the elastic net
-on the labeled rows, predicts the unlabeled location-years that pass the
-gating thresholds and rescales regional estimates to their country
-values; :func:`run_full` then attaches percentile-bootstrap confidence
-intervals.
+held-out evaluation, the feature export and the attributions; it runs a
+batch of independent runs (held-out splits) in lockstep, and estimation
+is a batch of one.  Within a period it builds features for every
+snapshot year, trains the elastic net on the labeled rows (one stacked
+cross-validation solve for the whole batch), predicts the unlabeled
+location-years that pass the gating thresholds and rescales regional
+estimates to their country values; :func:`run_full` then attaches
+percentile-bootstrap confidence intervals.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from .config import DEFAULT_GATING_THRESHOLDS, GATING_RULES, RunConfig
 from .data_ingest import SNAPSHOT_YEARS, Dataset, LocationTable, format_float, parse_field
 from .data_ingest import read_table, write_json, write_table
-from .elasticnet import CvResult, EnModel, en_cv, en_fit, fit_centered
-from .errors import NumericalError, ValidationError
+from .elasticnet import CvResult, EnModel, cv_design, en_cv, en_fit, fit_centered, solve_cv
+from .errors import HistGdpError, NumericalError, ValidationError
 from .features import (
     NEAR_DEGENERATE_GAP,
     FeatureMatrix,
@@ -32,7 +34,7 @@ from .features import (
     build_static_features,
     stack_features,
 )
-from .numerics import ols_fit, quantile, standardize
+from .numerics import StandardizeResult, ols_fit, quantile, standardize
 from .rng import child_rng, child_seed
 
 MIN_BOOTSTRAP_SAMPLES = 50
@@ -178,16 +180,36 @@ def fit_baseline(labeled_keys, y_log, init_log, locations: LocationTable, period
     )
 
 
-def train_period(
+@dataclass(frozen=True)
+class PeriodDesign:
+    """A period's labeled rows before cross-validation: their keys, their
+    standardized features and their log10 levels."""
+
+    training_keys: tuple
+    std: StandardizeResult
+    y: np.ndarray
+
+
+def _cv_settings(config: RunConfig) -> dict:
+    """The CV grid and selection rule of ``config``, as :func:`en_cv` and
+    :func:`cv_design` take them."""
+    return {
+        "alpha_grid": config.alpha_grid,
+        "k": config.k_folds,
+        "n_lambda": config.n_lambda,
+        "lambda_ratio": config.lambda_ratio,
+        "selection_rule": config.cv_selection_rule,
+    }
+
+
+def period_design(
     period: Period,
     period_features: FeatureMatrix,
     labels: dict,
     config: RunConfig,
     completed_periods,
-    seed: int,
-) -> TrainedPeriodModel:
-    """Cross-validate at ``seed`` and fit the elastic net on a period's
-    labeled rows.
+) -> PeriodDesign:
+    """Check and standardize a period's labeled rows.
 
     Periods must be processed chronologically (the lag feature depends on
     everything earlier), so every earlier period has to appear in
@@ -212,22 +234,18 @@ def train_period(
             f"train_period: period '{period.period_id}' has {len(labeled_keys)} labeled "
             f"rows, fewer than 2*k={2 * config.k_folds}; reduce k_folds"
         )
-    x_raw = period_features.subset(labeled_keys)
     y = np.array([math.log10(labels[k]) for k in labeled_keys])
-    std = standardize(x_raw.to_matrix())
-    cv = en_cv(
-        std.matrix,
-        y,
-        alpha_grid=config.alpha_grid,
-        k=config.k_folds,
-        seed=seed,
-        n_lambda=config.n_lambda,
-        lambda_ratio=config.lambda_ratio,
-        selection_rule=config.cv_selection_rule,
-    )
+    std = standardize(period_features.subset(labeled_keys).to_matrix())
+    return PeriodDesign(tuple(labeled_keys), std, y)
+
+
+def fit_period_model(design: PeriodDesign, cv: CvResult) -> TrainedPeriodModel:
+    """Fit the elastic net at the cell ``cv`` chose, starting from its
+    full-data solution there."""
+    std = design.std
     model = en_fit(
         std.matrix,
-        y,
+        design.y,
         cv.chosen_alpha,
         cv.chosen_lambda,
         warm_start=cv.chosen_coefficients,
@@ -237,11 +255,27 @@ def train_period(
     return TrainedPeriodModel(
         model=model,
         dropped_columns=std.dropped,
-        training_keys=tuple(labeled_keys),
+        training_keys=design.training_keys,
         cv=cv,
         x=std.matrix.values,
-        y=y,
+        y=design.y,
     )
+
+
+def train_period(
+    period: Period,
+    period_features: FeatureMatrix,
+    labels: dict,
+    config: RunConfig,
+    completed_periods,
+    seed: int,
+) -> TrainedPeriodModel:
+    """Cross-validate at ``seed`` and fit the elastic net on a period's
+    labeled rows: :func:`period_design`, :func:`en_cv` and
+    :func:`fit_period_model`."""
+    design = period_design(period, period_features, labels, config, completed_periods)
+    cv = en_cv(design.std.matrix, design.y, seed=seed, **_cv_settings(config))
+    return fit_period_model(design, cv)
 
 
 def predict_log10(tpm: TrainedPeriodModel, fm: FeatureMatrix, keys) -> np.ndarray:
@@ -384,19 +418,21 @@ def build_statics(dataset: Dataset, config: RunConfig, years, statics: dict) -> 
 
 @dataclass(frozen=True)
 class PeriodFit:
-    """One fitted period of :func:`fit_periods`.
+    """One fitted period of one run of :func:`fit_periods`.
 
-    ``features`` stacks the period's snapshot years, lag column included;
-    ``statics`` maps each of those years to its label-independent block;
-    ``labels`` are the training levels.  ``predictions`` holds the model's
-    log10 value for every candidate row that passed the gate, before
-    rescaling, and ``gated`` the rows that did not.  ``levels`` holds the
-    same rows after regional rescaling, with their ``factors`` (1.0 where
-    none applied).  ``proxy_weights`` maps each rescaled regional row to its
-    birth+death weight; ``n_unrescaled_regions`` counts the regional rows
-    whose country had no value to rescale to.
+    ``run`` is the run's index in the batch.  ``features`` stacks the
+    period's snapshot years, lag column included; ``statics`` maps each of
+    those years to its label-independent block; ``labels`` are the
+    training levels.  ``predictions`` holds the model's log10 value for
+    every candidate row that passed the gate, before rescaling, and
+    ``gated`` the rows that did not.  ``levels`` holds the same rows after
+    regional rescaling, with their ``factors`` (1.0 where none applied).
+    ``proxy_weights`` maps each rescaled regional row to its birth+death
+    weight; ``n_unrescaled_regions`` counts the regional rows whose country
+    had no value to rescale to.
     """
 
+    run: int
     period: Period
     features: FeatureMatrix
     statics: dict
@@ -410,86 +446,167 @@ class PeriodFit:
     n_unrescaled_regions: int
 
 
-def fit_periods(dataset: Dataset, config: RunConfig, source: dict, statics: dict, seed: int):
-    """The chronological period loop; yields a :class:`PeriodFit` per period
-    that has a labeled row in ``source``.
+@dataclass
+class _Run:
+    """One run of :func:`fit_periods`: the levels it may see, its seed, the
+    periods it fits, and its earlier periods' rescaled levels (the lag
+    store)."""
+
+    source: dict
+    seed: int
+    fitted: list
+    store: dict = field(default_factory=dict)
+
+
+def fit_periods(dataset: Dataset, config: RunConfig, runs, statics: dict, failures=None):
+    """The chronological period loop over a batch of runs.
+
+    A run is a ``(source, seed)`` pair; ``source`` is every level the run
+    may see: the whole dataset's for ``run_full``, the training countries'
+    for a held-out split.  The runs advance in lockstep: every run fits a
+    period before any run starts the next one, and each yields a
+    :class:`PeriodFit` for every period with a labeled row in its source,
+    in run order within a period.
 
     Features come from the ``statics`` cache (see :func:`build_statics`),
-    with the lag column filled from ``source`` and from the earlier
-    periods' rescaled levels.  Period ``i`` is tuned at
-    ``child_seed(seed, "cv", i)``, predicts the rows outside ``source`` that
-    pass the gate, and rescales regional estimates to their country's value
-    (from ``source``, else the country's estimate).  The rescaled levels
-    enter the lag store before the period is yielded.  ``source`` is every
-    level the loop may see: the whole dataset's for ``run_full``, the
-    training countries' for a held-out split.
+    with the lag column filled from the run's source and from its earlier
+    periods' rescaled levels.  Period ``i`` of a run is tuned at
+    ``child_seed(seed, "cv", i)``; the cross-validations of every run at
+    one period are one :func:`solve_cv` call (a batch of one is
+    :func:`train_period`, whose :func:`en_cv` is that call).  Each run then
+    predicts its rows outside its source that pass the gate, and rescales
+    regional estimates to their country's value (from the source, else
+    the country's estimate).  The rescaled levels enter the run's lag
+    store before the period is yielded.
+
+    A :class:`HistGdpError` raised in one run's own stages propagates, or,
+    when ``failures`` is a dict, ends that run alone: it is stored as
+    ``failures[run]``.  Runs already in ``failures`` are skipped, so the
+    consumer of the fits can end a run too.
     """
-    locations = dataset.locations
     policy = GatingPolicy.from_config(config)
-    fitted = fitted_periods(source)
-    store: dict = {}  # earlier periods' rescaled levels, for the lag column
-    completed: list = []
+    state = [_Run(source, seed, fitted_periods(source)) for source, seed in runs]
     for index, period in enumerate(PERIODS):
-        if period not in fitted:
-            completed.append(period.period_id)
+        live = {
+            r: run for r, run in enumerate(state)
+            if period in run.fitted and (failures is None or r not in failures)
+        }
+        if live:
+            build_statics(dataset, config, period.snapshots, statics)
+            yield from _fit_period(dataset, config, policy, index, live, statics, failures)
+
+
+def _fit_period(dataset, config, policy, index, live, statics, failures):
+    """Period ``index`` of the runs in ``live`` for :func:`fit_periods`:
+    each stage run by run, less the runs an earlier stage failed, with one
+    CV solve for all."""
+    period = PERIODS[index]
+    completed = tuple(p.period_id for p in PERIODS[:index])
+
+    def each(stage, items):
+        out = {}
+        for r, item in items.items():
+            try:
+                out[r] = stage(r, item)
+            except HistGdpError as err:
+                if failures is None:
+                    raise
+                failures[r] = err
+        return out
+
+    inputs = each(lambda r, run: _period_inputs(dataset, period, run, statics), live)
+    seeds = {r: child_seed(live[r].seed, "cv", index) for r in inputs}
+    if len(inputs) == 1:
+        models = each(
+            lambda r, item: train_period(
+                period, *item, config, completed_periods=completed, seed=seeds[r]
+            ),
+            inputs,
+        )
+    else:
+        designs = each(lambda r, item: period_design(period, *item, config, completed), inputs)
+        cvs = each(
+            lambda r, d: cv_design(d.std.matrix, d.y, seed=seeds[r], **_cv_settings(config)),
+            designs,
+        )
+
+        def chosen(r, cv):
+            if isinstance(cv, NumericalError):
+                raise cv
+            return fit_period_model(designs[r], cv)
+
+        models = each(chosen, dict(zip(cvs, solve_cv(list(cvs.values())))))
+    fits = each(
+        lambda r, tpm: _predict_period(
+            dataset, policy, period, r, live[r], *inputs[r], tpm, statics
+        ),
+        models,
+    )
+    yield from fits.values()
+
+
+def _period_inputs(dataset: Dataset, period: Period, run: _Run, statics: dict):
+    """A run's feature matrix of ``period``, lag column filled, and its
+    labeled levels there."""
+    parts = [
+        statics[year].matrix if period.prev_end is None
+        else attach_initial_gdp(statics[year], period.prev_end, run.source, run.store,
+                                dataset.locations)
+        for year in period.snapshots
+    ]
+    fm = replace(stack_features(parts), period=period.period_id)
+    return fm, {k: run.source[k] for k in fm.row_keys if k in run.source}
+
+
+def _predict_period(dataset, policy, period, r, run, fm, labels, tpm, statics) -> PeriodFit:
+    """A run's gated predictions of ``period`` and their regional
+    rescaling; the rescaled levels enter the run's lag store."""
+    locations = dataset.locations
+    source = run.source
+
+    def gate_counts(key):
+        return statics[key[1]].gate_counts(key[0])
+
+    candidate_keys = [k for k in fm.row_keys if k not in source]
+    predictions, gated = predict_gated(tpm, fm, candidate_keys, gate_counts, policy)
+
+    # regional rescaling against the country value (source wins)
+    levels = {k: 10.0 ** v for k, v in predictions.items()}
+    factors = {k: 1.0 for k in levels}
+    proxy_weights: dict = {}
+    n_unrescaled = 0
+    regional_groups: dict = {}  # (country, year) -> {regional key: level}
+    for (lid, year), v in levels.items():
+        if locations.get(lid).level == "region":
+            regional_groups.setdefault((locations.country_of(lid), year), {})[(lid, year)] = v
+    for (country, year), regional in sorted(regional_groups.items()):
+        country_value = source.get((country, year))
+        if country_value is None:
+            country_value = levels.get((country, year))
+        if country_value is None:
+            n_unrescaled += len(regional)
             continue
-        build_statics(dataset, config, period.snapshots, statics)
-        parts = [
-            statics[year].matrix if period.prev_end is None
-            else attach_initial_gdp(statics[year], period.prev_end, source, store, locations)
-            for year in period.snapshots
-        ]
-        fm = replace(stack_features(parts), period=period.period_id)
-        labels = {k: source[k] for k in fm.row_keys if k in source}
-        tpm = train_period(
-            period, fm, labels, config,
-            completed_periods=tuple(completed),
-            seed=child_seed(seed, "cv", index),
-        )
-
-        def gate_counts(key):
-            return statics[key[1]].gate_counts(key[0])
-
-        candidate_keys = [k for k in fm.row_keys if k not in source]
-        predictions, gated = predict_gated(tpm, fm, candidate_keys, gate_counts, policy)
-
-        # regional rescaling against the country value (source wins)
-        levels = {k: 10.0 ** v for k, v in predictions.items()}
-        factors = {k: 1.0 for k in levels}
-        proxy_weights: dict = {}
-        n_unrescaled = 0
-        regional_groups: dict = {}  # (country, year) -> {regional key: level}
-        for (lid, year), v in levels.items():
-            if locations.get(lid).level == "region":
-                regional_groups.setdefault((locations.country_of(lid), year), {})[(lid, year)] = v
-        for (country, year), regional in sorted(regional_groups.items()):
-            country_value = source.get((country, year))
-            if country_value is None:
-                country_value = levels.get((country, year))
-            if country_value is None:
-                n_unrescaled += len(regional)
-                continue
-            weights = {key: sum(gate_counts(key)) for key in regional}
-            rescaled, c = rescale_regions(regional, country_value, weights)
-            for key, value in rescaled.items():
-                levels[key] = value
-                factors[key] = c
-                proxy_weights[key] = weights[key]
-        store.update(levels)
-        completed.append(period.period_id)
-        yield PeriodFit(
-            period=period,
-            features=fm,
-            statics={year: statics[year] for year in period.snapshots},
-            labels=labels,
-            model=tpm,
-            gated=gated,
-            predictions=predictions,
-            levels=levels,
-            factors=factors,
-            proxy_weights=proxy_weights,
-            n_unrescaled_regions=n_unrescaled,
-        )
+        weights = {key: sum(gate_counts(key)) for key in regional}
+        rescaled, c = rescale_regions(regional, country_value, weights)
+        for key, value in rescaled.items():
+            levels[key] = value
+            factors[key] = c
+            proxy_weights[key] = weights[key]
+    run.store.update(levels)
+    return PeriodFit(
+        run=r,
+        period=period,
+        features=fm,
+        statics={year: statics[year] for year in period.snapshots},
+        labels=labels,
+        model=tpm,
+        gated=gated,
+        predictions=predictions,
+        levels=levels,
+        factors=factors,
+        proxy_weights=proxy_weights,
+        n_unrescaled_regions=n_unrescaled,
+    )
 
 
 @dataclass
@@ -533,7 +650,7 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
     n_skipped_replicates = 0
     n_age_imputed = 0
 
-    for fit in fit_periods(dataset, config, source, {}, config.seed):
+    for fit in fit_periods(dataset, config, [(source, config.seed)], {}):
         period, fm, tpm = fit.period, fit.features, fit.model
         n_age_imputed += sum(len(v) for v in fm.flags.values())
         gated_keys.extend(fit.gated)
@@ -707,11 +824,17 @@ def write_estimates_csv(estimates, path):
     )
 
 
+ESTIMATE_KINDS = ("source", "estimate")
+BOOLEANS = {"true": True, "false": False}
+
+
 def read_estimates_csv(path) -> list:
     """Read an estimates.csv back into EstimateRecord rows.
 
-    A row with the wrong field count, an unparseable number or a GDP level
-    that is not positive and finite raises ValidationError at its line.
+    A row with the wrong field count, an unparseable number, a GDP level
+    that is not positive and finite, or a ``kind`` or ``rescaled`` other
+    than :func:`write_estimates_csv` writes raises ValidationError at its
+    line.
     """
     records = []
     for line, row in read_table(path, ESTIMATES_HEADER, "estimates"):
@@ -723,6 +846,10 @@ def read_estimates_csv(path) -> list:
             raise ValidationError(
                 f"{path}:{line}: gdp_pc_2011usd must be positive and finite, got '{gdp}'"
             )
+        if kind not in ESTIMATE_KINDS:
+            raise ValidationError(f"{path}:{line}: kind must be one of {ESTIMATE_KINDS}, got '{kind}'")
+        if rescaled not in BOOLEANS:
+            raise ValidationError(f"{path}:{line}: rescaled must be true or false, got '{rescaled}'")
         records.append(
             EstimateRecord(
                 location_id=lid,
@@ -731,7 +858,7 @@ def read_estimates_csv(path) -> list:
                 ci_low=parse_field(low, float, "ci_low", path, line),
                 ci_high=parse_field(high, float, "ci_high", path, line),
                 kind=kind,
-                rescaled=rescaled == "true",
+                rescaled=BOOLEANS[rescaled],
                 init_gdp_provenance=provenance,
             )
         )

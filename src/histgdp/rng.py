@@ -1,16 +1,16 @@
-"""Deterministic seed derivation and order-preserving parallel mapping.
+"""Deterministic seed derivation.
 
 Every stochastic consumer (CV shuffles, country splits, bootstrap
 replicates, permutation sampling) receives a labeled child seed derived by
-hashing (master seed, purpose label, indices).  Adding or removing worker
-threads therefore never changes results: tasks are pure functions of their
-pre-derived seeds and results are merged in index order.
+hashing (master seed, purpose label, indices).  A result therefore depends
+only on its own pre-derived seed, never on the order or the company in
+which tasks run: held-out splits give the same metrics whichever batch of
+splits they are solved with.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,16 +25,3 @@ def child_seed(master: int, label: str, *indices: int) -> int:
 def child_rng(master: int, label: str, *indices: int) -> np.random.Generator:
     """A numpy Generator seeded with :func:`child_seed`."""
     return np.random.default_rng(child_seed(master, label, *indices))
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map ``fn`` over ``items``, optionally on a thread pool.
-
-    Results are returned in input order regardless of completion order, so
-    output is identical for any thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

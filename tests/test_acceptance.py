@@ -335,7 +335,7 @@ class TestCriterion7SyntheticRecovery:
             scores: dict = {}
             counts: dict = {}
             for fit in fit_periods(
-                world40.dataset, config, world40.dataset.source_levels, statics40, master
+                world40.dataset, config, [(world40.dataset.source_levels, master)], statics40
             ):
                 tpm, fm = fit.model, fit.features
                 atts = attribute_rows(tpm.model, fm.subset(list(tpm.training_keys)))

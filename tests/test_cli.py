@@ -94,6 +94,17 @@ class TestValidate:
         bad.write_text('{"not_a_key": 1}')
         assert run(["validate", "--config", bad]) == 1
 
+    def test_infinite_gdp_is_rejected(self, config_file, world_files, tmp_path, capsys):
+        rows = world_files["gdp"].read_text().splitlines()
+        location = rows[1].split(",")[0]
+        gdp = tmp_path / "gdp.csv"
+        gdp.write_text("\n".join(rows + [f"{location},2000,inf,m"]) + "\n")
+        code = run(["validate", "--config", config_file, "--gdp", gdp, "--output-dir", tmp_path])
+        assert code == 0
+        rejects = (tmp_path / "rejects.csv").read_text().splitlines()
+        assert f"{len(rows) + 1},{location},infinite gdp_pc" in rejects
+        assert json.loads(capsys.readouterr().out)["rejected_rows"] == len(rejects) - 1
+
     def test_missing_input_path_exits_one_with_one_usage_line(self, tmp_path, capsys):
         assert run(["validate", "--output-dir", tmp_path]) == 1
         err = capsys.readouterr().err
@@ -242,8 +253,11 @@ class TestCorrelateInputs:
             ("proxy", "C,13x0,2.0"),
             ("proxy", "C,1300,abc"),
             ("proxy", "C,1300,nan"),
+            ("estimates", "C,1300,1200,1100,1300,Source,false,true,model"),
+            ("estimates", "C,1300,1200,1100,1300,estimate,false,yes,model"),
         ],
-        ids=["short-row", "year", "gdp", "zero-gdp", "proxy-year", "proxy-value", "proxy-nan"],
+        ids=["short-row", "year", "gdp", "zero-gdp", "proxy-year", "proxy-value", "proxy-nan",
+             "kind", "rescaled"],
     )
     def test_malformed_row_names_its_line(self, tmp_path, capsys, table, bad_row):
         lines = {"estimates": list(self.ESTIMATES), "proxy": list(self.PROXY)}

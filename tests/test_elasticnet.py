@@ -526,6 +526,31 @@ class TestStackedSolver:
             xs, gram, xty, (0.5, 1.0), lams[1:], beta0[:, 1:], path, steps, cert, same_steps=False
         )
 
+    def test_per_system_paths_equal_each_system_alone(self):
+        # three systems, each with its own lambda path per alpha, cold and
+        # warm starts side by side
+        xs, gram, xty, _ = self._stack()
+        gram, xty = gram[:3], xty[:3]
+        designs = [_standardized_problem(30 + s, n=60, p=11) for s in range(3)]
+        lams = np.array([
+            [lambda_path(x, y, a, n_lambda=8, ratio=10.0 ** -(s + 1)) for a in self.ALPHAS]
+            for s, (x, y) in enumerate(designs)
+        ])
+        beta0 = self._starts(gram.shape[1])[:3]
+        path, steps, cert = _solve_stack(gram, xty, self.ALPHAS, lams, beta0, self.TOL, 10_000)
+        assert path.shape == (3, 3, 8, 11) and (cert <= self.TOL).all()
+        for s in range(3):
+            alone = _solve_stack(gram[s:s + 1], xty[s:s + 1], self.ALPHAS, lams[s],
+                                 beta0[s:s + 1], self.TOL, 10_000)
+            assert np.array_equal(steps[s], alone[1][0])
+            assert np.max(np.abs(path[s] - alone[0][0])) <= 1e-12
+        # a shared (A, L) path is every system's path
+        shared = _solve_stack(gram, xty, self.ALPHAS, lams[0], beta0, self.TOL, 10_000)
+        each = _solve_stack(gram, xty, self.ALPHAS, np.broadcast_to(lams[0], lams.shape), beta0,
+                            self.TOL, 10_000)
+        for got, want in zip(shared, each):
+            assert got.tobytes() == want.tobytes()
+
     def test_step_cap_in_a_stack_raises(self):
         _, gram, xty, lams = self._stack()
         with pytest.raises(NumericalError, match="KKT violation"):
@@ -578,6 +603,46 @@ class TestCvCertificate:
         assert model.coefficients.tobytes() == beta[0].tobytes()
         assert model.n_sweeps == steps[0]
         assert np.float64(model.max_delta).tobytes() == violation[0].tobytes()
+
+    def test_batch_equals_each_design_alone(self):
+        # designs of different widths and lengths share one stacked solve;
+        # the narrower ones are padded with zero columns
+        problems = [_standardized_problem(50 + s, n=n, p=p) for s, (n, p) in
+                    enumerate([(60, 8), (45, 5), (70, 8)])]
+        designs = [elasticnet.cv_design(x, y, alpha_grid=(0.0, 0.5, 1.0), k=4, seed=s,
+                                        n_lambda=10, lambda_ratio=1e-2)
+                   for s, (x, y) in enumerate(problems)]
+        batch = elasticnet.solve_cv(designs)
+        for design, got in zip(designs, batch):
+            (want,) = elasticnet.solve_cv([design])
+            assert (got.chosen_alpha, got.chosen_lambda) == (want.chosen_alpha, want.chosen_lambda)
+            assert got.chosen_steps == want.chosen_steps
+            assert got.chosen_coefficients.shape == (design.x.shape[1],)
+            assert np.max(np.abs(got.chosen_coefficients - want.chosen_coefficients)) <= 1e-12
+            assert np.max(np.abs(got.mean_mse - want.mean_mse) / want.mean_mse) <= 1e-12
+            assert got.kkt_violation <= elasticnet.DEFAULT_TOL
+
+    def test_failed_stacked_solve_is_retried_design_by_design(self, monkeypatch):
+        problems = [_standardized_problem(60 + s, n=40, p=6) for s in range(3)]
+        designs = [elasticnet.cv_design(x, y, alpha_grid=(0.5, 1.0), k=3, seed=s, n_lambda=6)
+                   for s, (x, y) in enumerate(problems)]
+        alone = [elasticnet.solve_cv([d])[0] for d in designs]
+        bad = designs[1].y
+        real = elasticnet._solve_stack
+
+        def fails_on_design_1(gram, xty, *args):
+            if any(np.allclose(row, designs[1].x.T @ (bad - bad.mean())) for row in xty):
+                raise NumericalError("planted")
+            return real(gram, xty, *args)
+
+        monkeypatch.setattr(elasticnet, "_solve_stack", fails_on_design_1)
+        got = elasticnet.solve_cv(designs)
+        assert isinstance(got[1], NumericalError) and str(got[1]) == "planted"
+        for i in (0, 2):
+            assert got[i].mean_mse.tobytes() == alone[i].mean_mse.tobytes()
+            assert got[i].chosen_coefficients.tobytes() == alone[i].chosen_coefficients.tobytes()
+        with pytest.raises(NumericalError, match="planted"):
+            en_cv(*problems[1], alpha_grid=(0.5, 1.0), k=3, seed=1, n_lambda=6)
 
     def test_fold_average_has_no_grid_start(self):
         x, y = _standardized_problem(43, n=40, p=5)

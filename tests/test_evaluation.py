@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from histgdp.data_ingest import Dataset, Location, LocationTable
-from histgdp import evaluation, pipeline
+from histgdp import elasticnet, evaluation, pipeline
 from histgdp.errors import NumericalError, ValidationError
 from histgdp.evaluation import (
     SplitMetrics,
@@ -139,7 +139,7 @@ class TestEvaluateModels:
         def broken(*args, **kwargs):
             raise RuntimeError("no convergence")
 
-        monkeypatch.setattr(evaluation, "run_single_split", broken)
+        monkeypatch.setattr(evaluation, "score_period", broken)
         with pytest.raises(RuntimeError, match="no convergence"):
             evaluate_models(small_world.dataset, small_test_config(), n_splits=2)
 
@@ -147,10 +147,52 @@ class TestEvaluateModels:
         def failing(*args, **kwargs):
             raise NumericalError("did not converge")
 
-        monkeypatch.setattr(evaluation, "run_single_split", failing)
+        monkeypatch.setattr(evaluation, "score_period", failing)
         dist = evaluate_models(small_world.dataset, small_test_config(), n_splits=2)
         assert dist.n_failed == 2
         assert all(s.failed == "NumericalError: did not converge" for s in dist.splits)
+
+    def test_numerical_error_in_the_stacked_solve_fails_only_its_split(self, small_world,
+                                                                       monkeypatch):
+        config = small_test_config(n_splits=2)
+        alone = [run_single_split(small_world.dataset, config, {}, i, 4) for i in range(2)]
+        # split 1's first-period CV systems, recorded while it runs alone
+        grams = []
+        real = elasticnet._solve_stack
+
+        def recording(gram, *args):
+            grams.append(gram[0].copy())
+            return real(gram, *args)
+
+        monkeypatch.setattr(elasticnet, "_solve_stack", recording)
+        run_single_split(small_world.dataset, config, {}, 1, 4)
+        planted = grams[0]
+
+        def fails_on_split_1(gram, *args):
+            w = planted.shape[0]
+            if any(np.allclose(g[:w, :w], planted, rtol=1e-12, atol=0.0) for g in gram
+                   if g.shape[0] >= w):
+                raise NumericalError("planted")
+            return real(gram, *args)
+
+        monkeypatch.setattr(elasticnet, "_solve_stack", fails_on_split_1)
+        monkeypatch.setattr(evaluation, "BATCH_BYTES", 1 << 30)  # both splits in one batch
+        dist = evaluate_models(small_world.dataset, config, n_splits=2, master_seed=4)
+        assert dist.splits[1].failed == "NumericalError: planted"
+        assert dist.splits[1].seed == alone[1].seed
+        assert dist.splits[0] == alone[0]  # bit for bit: retried alone, then a batch of one
+
+    def test_batch_size_does_not_change_results(self, small_world, monkeypatch):
+        config = small_test_config(n_splits=3)
+        batches = []
+        for budget in (1, 1 << 30):  # one split per batch, then all three together
+            monkeypatch.setattr(evaluation, "BATCH_BYTES", budget)
+            batches.append(evaluate_models(small_world.dataset, config, master_seed=2).splits)
+        for one, three in zip(*batches):
+            assert one.failed is None and three.failed is None
+            for name in ("r2_baseline", "r2_full", "mae_baseline", "mae_full"):
+                assert getattr(three, name) == pytest.approx(getattr(one, name), rel=1e-9)
+            assert three.per_period_mae_full == pytest.approx(one.per_period_mae_full, rel=1e-9)
 
     def test_no_leakage_between_train_and_test(self, small_world):
         # the explicit check inside run_single_split guards this; here we
@@ -176,7 +218,7 @@ class TestSharedPeriodLoop:
         config = small_test_config()
         split_seed = child_seed(9, "split", split_index)
         train, _ = _training_dataset(small_world.dataset, config, split_seed)
-        expected = list(fit_periods(train, config, train.source_levels, {}, split_seed))
+        expected = list(fit_periods(train, config, [(train.source_levels, split_seed)], {}))
 
         trained = []
         original = pipeline.train_period

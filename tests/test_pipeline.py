@@ -266,7 +266,7 @@ class TestTrainPeriod:
 def period_fit(small_world, small_config):
     """The last fitted period of the small world (it has a lag column)."""
     ds = small_world.dataset
-    return list(fit_periods(ds, small_config, ds.source_levels, {}, small_config.seed))[-1]
+    return list(fit_periods(ds, small_config, [(ds.source_levels, small_config.seed)], {}))[-1]
 
 
 def reordered(fm, drop=None):
@@ -333,7 +333,7 @@ class TestModelReadsRowsByName:
 
     def test_final_fit_is_the_cv_full_data_solution(self, small_world, small_config):
         ds = small_world.dataset
-        fits = list(fit_periods(ds, small_config, ds.source_levels, {}, small_config.seed))
+        fits = list(fit_periods(ds, small_config, [(ds.source_levels, small_config.seed)], {}))
         assert fits
         for fit in fits:
             model, cv = fit.model.model, fit.model.cv
