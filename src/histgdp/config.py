@@ -84,8 +84,17 @@ class RunConfig:
                 raise ValidationError(f"unknown {name} '{getattr(self, name)}'")
         if not 0.0 < self.ci_level < 1.0:
             raise ValidationError(f"ci_level must lie in (0, 1), got {self.ci_level}")
+        if not self.alpha_grid:
+            raise ValidationError("alpha_grid must not be empty")
         if not all(0.0 <= a <= 1.0 for a in self.alpha_grid):
             raise ValidationError("alpha_grid values must lie in [0, 1]")
+        # settings every period or split would reject, refused before any work
+        if self.k_folds < 2:
+            raise ValidationError(f"k_folds must be at least 2, got {self.k_folds}")
+        if self.n_lambda < 1:
+            raise ValidationError(f"n_lambda must be at least 1, got {self.n_lambda}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValidationError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         years = [y for y, _ in self.gating_thresholds]
         thresholds = [t for _, t in self.gating_thresholds]
         if years != sorted(years) or any(t <= 0 for t in thresholds):

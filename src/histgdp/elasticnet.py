@@ -645,10 +645,12 @@ def solve_cv(designs, tol: float = DEFAULT_TOL) -> list:
 
     Each design gives one centred Gram system per fold (its training rows
     as 0/1 multiplicity weights) and one for the full data, built straight
-    into one stack; designs narrower than the widest are padded with zero
-    columns, which never enter an active set.  Every system keeps its
-    design's lambda paths, and one :func:`_solve_stack` call solves every
-    system's path over every alpha, warm-started from the previous lambda.
+    into one stack; the full-data system is built by the call that
+    :func:`en_fit` makes, so it equals the final fit's system bit for bit.
+    Designs narrower than the widest are padded with zero columns, which
+    never enter an active set.  Every system keeps its design's lambda
+    paths, and one :func:`_solve_stack` call solves every system's path
+    over every alpha, warm-started from the previous lambda.
     The designs share one alpha grid and path length (one config's).  A
     :class:`NumericalError` of the stacked solve is retried design by
     design, so it fails only the designs that fail alone.  Returns, per
@@ -666,11 +668,15 @@ def solve_cv(designs, tol: float = DEFAULT_TOL) -> list:
     lams = np.empty((starts[-1], len(alphas), n_lambda))
     centres = []
     for d, a, b in zip(designs, starts, starts[1:]):
-        w = d.x.shape[1]
-        weights = np.ones((b - a, d.x.shape[0]))  # the last system is the full data
+        n, w = d.x.shape
+        weights = np.ones((b - a - 1, n))
         for f, val_idx in enumerate(d.folds):
             weights[f, val_idx] = 0.0
-        centres.append(_centered_systems(d.x, d.y, weights, (gram[a:b, :w, :w], xty[a:b, :w]))[2:])
+        centres.append(
+            _centered_systems(d.x, d.y, weights, (gram[a:b - 1, :w, :w], xty[a:b - 1, :w]))[2:]
+        )
+        # the full data last, by en_fit's own call: the same system bit for bit
+        _centered_systems(d.x, d.y, np.ones((1, n)), (gram[b - 1:b, :w, :w], xty[b - 1:b, :w]))
         lams[a:b] = d.lams
     try:
         path, steps, cert = _solve_stack(gram, xty, alphas, lams, None, tol, DEFAULT_MAX_STEPS)
@@ -759,9 +765,8 @@ def en_cv(
     sparser model).  The ``fold_average`` rule instead takes each fold's
     own optimum and averages the chosen (alpha, lambda) pairs.  Under
     ``min_mean`` the full-data solution at the chosen cell is kept as
-    ``chosen_coefficients``: :func:`en_fit` builds the same system (up to
-    rounding), so a final fit started there takes no step unless rounding
-    lifts its KKT violation above ``tol``.
+    ``chosen_coefficients``: :func:`en_fit` builds the same system bit for
+    bit, so a final fit started there is already certified.
     """
     design = cv_design(
         x, y, alpha_grid, k, seed,

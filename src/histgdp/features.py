@@ -6,6 +6,11 @@ diversity and average ubiquity, complexity indices, SVD factors of the
 log-scaled count matrices, average lifespan, supranational dummies, and
 the hierarchically filled previous-period GDP.
 
+Only the last depends on the levels a run may see: ``build_static_features``
+gives one year's label-independent block, a period's blocks are stacked
+once (``stack_features``), and each run appends its own ``init_gdp``
+column to that stack with one ``attach_initial_gdp`` call.
+
 Count matrices and everything derived from them (RCA, complexity, SVD,
 ubiquity) are computed separately per hierarchy level -- mixing country
 rows and region rows in one matrix would double-count every individual.
@@ -474,15 +479,13 @@ def initial_gdp(location_id, lag_year, source_levels, model_levels, locations: L
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Named feature columns for (location, snapshot-year) rows."""
+    """Named feature columns for (location, snapshot-year) rows, with each
+    row's ``init_gdp`` provenance once :func:`attach_initial_gdp` appended it."""
 
     row_keys: tuple  # ((location_id, year), ...)
     columns: tuple
     values: np.ndarray
-    scale: str
-    period: str | None = None
     init_provenance: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
     _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -524,30 +527,27 @@ def stack_features(parts) -> FeatureMatrix:
         if p.columns != columns:
             raise ValidationError("stack_features: column sets differ")
     provenance = {}
-    flags = {}
     for p in parts:
         provenance.update(p.init_provenance)
-        flags.update(p.flags)
     return FeatureMatrix(
         row_keys=tuple(k for p in parts for k in p.row_keys),
         columns=columns,
         values=np.vstack([p.values for p in parts]),
-        scale=parts[0].scale,
-        period=parts[0].period,
         init_provenance=provenance,
-        flags=flags,
     )
 
 
 @dataclass(frozen=True)
 class StaticFeatures:
     """Label-independent features for one snapshot year, plus the count
-    tensors needed downstream for gating and population proxies and the
-    ``EciResult`` (with its certificate) of every ECI block."""
+    tensors needed downstream for gating and population proxies, the
+    ``EciResult`` (with its certificate) of every ECI block, and the
+    sorted ids of the locations whose ``avg_age`` was imputed."""
 
     matrix: FeatureMatrix
     tensors: dict  # level -> CountTensor
     eci_results: dict = field(default_factory=dict)  # (level, flow) -> EciResult
+    age_imputed: tuple = ()
     _gates: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -634,7 +634,8 @@ def build_static_features(
     reference ``assign_flows`` + ``flow_counts`` + ``avg_age`` +
     ``linearize`` per entry; ``avg_age`` is the mean lifespan of a
     location's members with a death year, imputed with the mean over all
-    located members and flagged where there is none.
+    located members where there is none; those locations are listed in
+    ``age_imputed``.
     Every computed ECI block's result is kept in ``eci_results``.
     """
     if window_years <= 0:
@@ -698,25 +699,18 @@ def build_static_features(
         row_keys.extend((lid, year) for lid in tensor.location_ids)
         age_flagged.extend(lid for lid, n in zip(tensor.location_ids, span_n) if n == 0)
 
-    matrix = FeatureMatrix(
-        row_keys=tuple(row_keys),
-        columns=tuple(columns),
-        values=np.vstack(level_values),
-        scale=scale,
-        flags={f"avg_age_imputed_{year}": tuple(sorted(age_flagged))},
-    )
-    return StaticFeatures(matrix=matrix, tensors=tensors, eci_results=eci_results)
+    matrix = FeatureMatrix(tuple(row_keys), tuple(columns), np.vstack(level_values))
+    return StaticFeatures(matrix, tensors, eci_results, tuple(sorted(age_flagged)))
 
 
 def attach_initial_gdp(
-    static: StaticFeatures | FeatureMatrix,
+    fm: FeatureMatrix,
     lag_year: int,
     source_levels: dict,
     model_levels: dict,
     locations: LocationTable,
 ) -> FeatureMatrix:
     """Append the ``init_gdp`` column (log10) with per-row provenance."""
-    fm = static.matrix if isinstance(static, StaticFeatures) else static
     col = np.zeros((len(fm.row_keys), 1))
     provenance = dict(fm.init_provenance)
     for i, (lid, _year) in enumerate(fm.row_keys):
@@ -727,10 +721,7 @@ def attach_initial_gdp(
         row_keys=fm.row_keys,
         columns=fm.columns + ("init_gdp",),
         values=np.hstack([fm.values, col]),
-        scale=fm.scale,
-        period=fm.period,
         init_provenance=provenance,
-        flags=fm.flags,
     )
 
 

@@ -6,19 +6,19 @@ Periods run strictly in chronological order because each period's
 estimates.  :func:`fit_periods` is that loop, shared by estimation, the
 held-out evaluation, the feature export and the attributions; it runs a
 batch of independent runs (held-out splits) in lockstep, and estimation
-is a batch of one.  Within a period it builds features for every
-snapshot year, trains the elastic net on the labeled rows (one stacked
-cross-validation solve for the whole batch), predicts the unlabeled
-location-years that pass the gating thresholds and rescales regional
-estimates to their country values; :func:`run_full` then attaches
-percentile-bootstrap confidence intervals.
+is a batch of one.  Within a period it stacks the snapshot years' static
+features once, appends each run's lag column, trains the elastic net on
+the labeled rows (one stacked cross-validation solve for the batch),
+predicts the unlabeled location-years that pass the gating thresholds
+and rescales regional estimates to their country values; :func:`run_full`
+then attaches percentile-bootstrap confidence intervals.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -469,15 +469,15 @@ def fit_periods(dataset: Dataset, config: RunConfig, runs, statics: dict, failur
     in run order within a period.
 
     Features come from the ``statics`` cache (see :func:`build_statics`),
-    with the lag column filled from the run's source and from its earlier
-    periods' rescaled levels.  Period ``i`` of a run is tuned at
-    ``child_seed(seed, "cv", i)``; the cross-validations of every run at
-    one period are one :func:`solve_cv` call (a batch of one is
-    :func:`train_period`, whose :func:`en_cv` is that call).  Each run then
-    predicts its rows outside its source that pass the gate, and rescales
-    regional estimates to their country's value (from the source, else
-    the country's estimate).  The rescaled levels enter the run's lag
-    store before the period is yielded.
+    stacked once per period; each run appends its lag column, filled from
+    its source and from its earlier periods' rescaled levels.  Period
+    ``i`` of a run is tuned at ``child_seed(seed, "cv", i)``; the
+    cross-validations of every run at one period are one :func:`solve_cv`
+    call (a batch of one is :func:`train_period`, whose :func:`en_cv` is
+    that call).  Each run then predicts its rows outside its source that
+    pass the gate, and rescales regional estimates to their country's
+    value (from the source, else the country's estimate).  The rescaled
+    levels enter the run's lag store before the period is yielded.
 
     A :class:`HistGdpError` raised in one run's own stages propagates, or,
     when ``failures`` is a dict, ends that run alone: it is stored as
@@ -514,7 +514,8 @@ def _fit_period(dataset, config, policy, index, live, statics, failures):
                 failures[r] = err
         return out
 
-    inputs = each(lambda r, run: _period_inputs(dataset, period, run, statics), live)
+    block = stack_features(statics[year].matrix for year in period.snapshots)
+    inputs = each(lambda r, run: _period_inputs(dataset, period, run, block), live)
     seeds = {r: child_seed(live[r].seed, "cv", index) for r in inputs}
     if len(inputs) == 1:
         models = each(
@@ -545,16 +546,12 @@ def _fit_period(dataset, config, policy, index, live, statics, failures):
     yield from fits.values()
 
 
-def _period_inputs(dataset: Dataset, period: Period, run: _Run, statics: dict):
-    """A run's feature matrix of ``period``, lag column filled, and its
-    labeled levels there."""
-    parts = [
-        statics[year].matrix if period.prev_end is None
-        else attach_initial_gdp(statics[year], period.prev_end, run.source, run.store,
-                                dataset.locations)
-        for year in period.snapshots
-    ]
-    fm = replace(stack_features(parts), period=period.period_id)
+def _period_inputs(dataset: Dataset, period: Period, run: _Run, block: FeatureMatrix):
+    """A run's feature matrix of ``period``, its lag column appended to the
+    period's static ``block``, and its labeled levels there."""
+    fm = block if period.prev_end is None else attach_initial_gdp(
+        block, period.prev_end, run.source, run.store, dataset.locations
+    )
     return fm, {k: run.source[k] for k in fm.row_keys if k in run.source}
 
 
@@ -652,7 +649,7 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
 
     for fit in fit_periods(dataset, config, [(source, config.seed)], {}):
         period, fm, tpm = fit.period, fit.features, fit.model
-        n_age_imputed += sum(len(v) for v in fm.flags.values())
+        n_age_imputed += sum(len(static.age_imputed) for static in fit.statics.values())
         gated_keys.extend(fit.gated)
         proxy_weights.update(fit.proxy_weights)
         n_unrescaled_regions += fit.n_unrescaled_regions

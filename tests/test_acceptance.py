@@ -379,7 +379,7 @@ class TestCriterion8BootstrapCoverage:
             static = build_static_features(year, dataset)
             parts.append(
                 attach_initial_gdp(
-                    static, emp.prev_end, dataset.source_levels, {}, dataset.locations
+                    static.matrix, emp.prev_end, dataset.source_levels, {}, dataset.locations
                 )
             )
         fm = stack_features(parts)

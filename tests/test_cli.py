@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -179,6 +180,24 @@ class TestEvaluate:
         summary = json.loads((tmp_path / "evaluation_summary.json").read_text())
         assert summary["n_splits"] == 3
         assert "kruskal_wallis" in summary
+
+
+class TestSettingsEverySplitRejects:
+    # settings every held-out split would reject: refused before any input is read
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--test-fraction", "1.5", r"test_fraction must lie in \(0, 1\), got 1.5"),
+        ("--k-folds", "1", "k_folds must be at least 2, got 1"),
+        ("--n-lambda", "0", "n_lambda must be at least 1, got 0"),
+        ("--alpha-grid", "", "alpha_grid must not be empty"),
+    ])
+    @pytest.mark.parametrize("command", ["evaluate", "estimate"])
+    def test_exits_one_before_any_work(self, config_file, tmp_path, capsys, command,
+                                       flag, value, message):
+        out = tmp_path / "out"
+        code = run([command, "--config", config_file, "--output-dir", out, flag, value])
+        assert code == 1
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestExplain:

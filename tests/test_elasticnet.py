@@ -604,6 +604,32 @@ class TestCvCertificate:
         assert model.n_sweeps == steps[0]
         assert np.float64(model.max_delta).tobytes() == violation[0].tobytes()
 
+    def test_full_data_system_is_en_fits_bit_for_bit(self, monkeypatch):
+        # the last system of each design in the CV stack is the one the
+        # final fit solves; a batch pads the narrower design's copy
+        problems = [_standardized_problem(70 + s, n=n, p=p) for s, (n, p) in
+                    enumerate([(100, 30), (80, 21)])]
+        designs = [elasticnet.cv_design(x, y, alpha_grid=(0.5, 1.0), k=3, seed=s, n_lambda=4)
+                   for s, (x, y) in enumerate(problems)]
+        stacks = []
+        real = elasticnet._solve_stack
+
+        def spy(gram, xty, *args):
+            stacks.append((gram.copy(), xty.copy()))
+            return real(gram, xty, *args)
+
+        monkeypatch.setattr(elasticnet, "_solve_stack", spy)
+        results = elasticnet.solve_cv(designs)
+        for (x, y), result in zip(problems, results):
+            en_fit(x, y, result.chosen_alpha, result.chosen_lambda,
+                   warm_start=result.chosen_coefficients)
+        cv_gram, cv_xty = stacks[0]
+        ends = np.cumsum([len(d.folds) + 1 for d in designs]) - 1
+        for (x, _), end, (fit_gram, fit_xty) in zip(problems, ends, stacks[1:]):
+            p = x.shape[1]
+            assert cv_gram[end, :p, :p].tobytes() == fit_gram[0].tobytes()
+            assert cv_xty[end, :p].tobytes() == fit_xty[0].tobytes()
+
     def test_batch_equals_each_design_alone(self):
         # designs of different widths and lengths share one stacked solve;
         # the narrower ones are padded with zero columns

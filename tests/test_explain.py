@@ -225,7 +225,6 @@ class TestRanking:
             row_keys=tuple((f"loc{i}", 1500) for i in range(12)),
             columns=std.matrix.col_labels,
             values=raw,
-            scale="log10p1",
         )
         atts = attribute_rows(model, fm)
         for att, key in zip(atts, fm.row_keys):

@@ -389,7 +389,7 @@ class TestBuildFeatureMatrix:
         # 4*(3+1) counts + 4 diversity + 4 ubiquity + 4 eci + 20 svd
         # + 1 age + 2 dummies + 1 init_gdp = 52
         fm = attach_initial_gdp(
-            build_static_features(1750, small_dataset), 1700,
+            build_static_features(1750, small_dataset).matrix, 1700,
             small_dataset.source_levels, {}, small_dataset.locations,
         )
         assert len(fm.columns) == 52
@@ -411,7 +411,7 @@ class TestBuildFeatureMatrix:
 
     def test_provenance_recorded(self, small_dataset):
         fm = attach_initial_gdp(
-            build_static_features(1750, small_dataset), 1700,
+            build_static_features(1750, small_dataset).matrix, 1700,
             small_dataset.source_levels, {}, small_dataset.locations,
         )
         assert fm.init_provenance[("AT", 1750)] == "source"
@@ -456,7 +456,7 @@ class TestBuildFeatureMatrix:
     def test_attach_initial_gdp_appends(self, small_dataset):
         static = build_static_features(1750, small_dataset)
         fm = attach_initial_gdp(
-            static, 1700, small_dataset.source_levels, {}, small_dataset.locations
+            static.matrix, 1700, small_dataset.source_levels, {}, small_dataset.locations
         )
         assert fm.columns[-1] == "init_gdp"
         at = fm.row_keys.index(("AT", 1750))
@@ -465,7 +465,6 @@ class TestBuildFeatureMatrix:
     def test_asinh_scale_applied(self, small_dataset):
         log_fm = build_static_features(1750, small_dataset, scale="log10p1").matrix
         as_fm = build_static_features(1750, small_dataset, scale="asinh").matrix
-        assert as_fm.scale == "asinh"
         col = log_fm.columns.index("births.total")
         at = log_fm.row_keys.index(("AT", 1750))
         assert as_fm.values[at, col] != log_fm.values[at, col]
@@ -564,7 +563,7 @@ class TestIndexedBuildMatchesReference:
         keys, values, tensors, flagged = reference_static_matrix(year, ds, window, scale, 1820)
         assert static.matrix.row_keys == keys
         assert static.matrix.values.tobytes() == values.tobytes()
-        assert static.matrix.flags == {f"avg_age_imputed_{year}": flagged}
+        assert static.age_imputed == flagged
         for level in LEVELS:
             for flow in FLOWS:
                 assert static.tensors[level].weighted[flow].tobytes() == \
@@ -588,7 +587,7 @@ class TestIndexedBuildMatchesReference:
         assert hpi_weight(ds.by_person["p06"], 1820) == 0.0
         assert ds.by_person["p04"].lifespan is None
         static = build_static_features(1800, ds, reference_year=1820)
-        flagged = static.matrix.flags["avg_age_imputed_1800"]
+        flagged = static.age_imputed
         assert flagged == ("ES", "PL-2")
         assert static.gate_counts("ES") == (0, 0)
 
@@ -839,7 +838,7 @@ class TestElementwiseLinearize:
 class TestSubset:
     def test_filters_init_provenance(self, small_dataset):
         fm = attach_initial_gdp(
-            build_static_features(1750, small_dataset), 1700,
+            build_static_features(1750, small_dataset).matrix, 1700,
             small_dataset.source_levels, {}, small_dataset.locations,
         )
         assert set(fm.init_provenance) == {("AT", 1750), ("PL", 1750)}
@@ -849,7 +848,7 @@ class TestSubset:
 
     def test_keeps_requested_order_and_rejects_unknown_keys(self, small_dataset):
         fm = attach_initial_gdp(
-            build_static_features(1750, small_dataset), 1700,
+            build_static_features(1750, small_dataset).matrix, 1700,
             small_dataset.source_levels, {}, small_dataset.locations,
         )
         keys = list(reversed(fm.row_keys))

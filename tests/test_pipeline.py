@@ -243,7 +243,7 @@ class TestTrainPeriod:
     def test_out_of_order_rejected(self, small_world, small_config):
         ds = small_world.dataset
         fm = attach_initial_gdp(
-            build_static_features(1550, ds), 1500, ds.source_levels, {}, ds.locations
+            build_static_features(1550, ds).matrix, 1500, ds.source_levels, {}, ds.locations
         )
         labels = {
             k: small_world.dataset.source_levels[k]
