@@ -83,10 +83,10 @@ for lid in counts.location_ids:
 
 print("\n=== Specialization matrix (RCA >= 1) and complexity ===")
 rca = rca_matrix(counts, "births")
-print("  kept locations:", rca.matrix.row_labels)
-print(rca.matrix.values)
-result = eci(rca.matrix)
-for lid, value in zip(rca.matrix.row_labels, result.eci):
+print("  kept locations:", rca.locations)
+print(rca.binary)
+result = eci(rca.binary)
+for lid, value in zip(rca.locations, result.eci):
     print(f"  ECI[{lid}] = {value:+.3f}")
 
 print("\n=== First SVD factors of log10(1 + N) for births ===")

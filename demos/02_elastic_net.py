@@ -16,7 +16,7 @@ rng = np.random.default_rng(7)
 n, p = 120, 25
 raw = rng.normal(size=(n, p))
 std = standardize(raw)
-x = std.matrix.values
+x = std.values
 true_beta = np.zeros(p)
 true_beta[[2, 9, 17]] = (1.2, -0.8, 0.5)
 y = x @ true_beta + 0.3 * rng.normal(size=n)
@@ -45,7 +45,7 @@ print("\n=== Cross-validated selection ===")
 cv = en_cv(x, y, alpha_grid=(0.2, 0.5, 1.0), k=5, seed=11, n_lambda=30, lambda_ratio=1e-3)
 print(f"  chosen alpha={cv.chosen_alpha}  lambda={cv.chosen_lambda:.4f}")
 final = en_fit(x, y, cv.chosen_alpha, cv.chosen_lambda,
-               feature_names=std.matrix.col_labels)
+               feature_names=std.columns)
 print(f"  selected features: {final.selected_features}")
 print(f"  true support: col_2, col_9, col_17")
 

@@ -23,6 +23,9 @@ GATING_RULES = {
     "sum": lambda births, deaths, t: births + deaths >= t,
 }
 
+# Fewest bootstrap replicates a run may ask for (pipeline.bootstrap_ci).
+MIN_BOOTSTRAP_SAMPLES = 50
+
 # The allowed values of every enumerated setting.
 CHOICES = {
     "scale": ("log10p1", "asinh"),
@@ -91,16 +94,40 @@ class RunConfig:
         # settings every period or split would reject, refused before any work
         if self.k_folds < 2:
             raise ValidationError(f"k_folds must be at least 2, got {self.k_folds}")
-        if self.n_lambda < 1:
-            raise ValidationError(f"n_lambda must be at least 1, got {self.n_lambda}")
+        if self.n_lambda < 2:
+            raise ValidationError(f"n_lambda must be at least 2, got {self.n_lambda}")
+        if not 0.0 < self.lambda_ratio < 1.0:
+            raise ValidationError(f"lambda_ratio must lie in (0, 1), got {self.lambda_ratio}")
+        if self.n_splits < 1:
+            raise ValidationError(f"n_splits must be at least 1, got {self.n_splits}")
+        if self.bootstrap_samples < MIN_BOOTSTRAP_SAMPLES:
+            raise ValidationError(
+                f"bootstrap_samples must be at least {MIN_BOOTSTRAP_SAMPLES}, "
+                f"got {self.bootstrap_samples}"
+            )
         if not 0.0 < self.test_fraction < 1.0:
             raise ValidationError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
+        if not self.gating_thresholds:
+            raise ValidationError("gating_thresholds must not be empty")
         years = [y for y, _ in self.gating_thresholds]
         thresholds = [t for _, t in self.gating_thresholds]
         if years != sorted(years) or any(t <= 0 for t in thresholds):
             raise ValidationError("gating thresholds must be positive with ascending year caps")
         if thresholds != sorted(thresholds):
             raise ValidationError("gating thresholds must be non-decreasing in year")
+
+    def gate_threshold(self, year: int) -> int:
+        """The threshold of the first year cap at or after ``year``; the
+        last cap's past every cap."""
+        return next(
+            (t for cap, t in self.gating_thresholds if year <= cap), self.gating_thresholds[-1][1]
+        )
+
+    def passes_gate(self, births: int, deaths: int, year: int) -> bool:
+        """Whether a location-year with these unweighted birth and death
+        counts gets an estimate: ``gating_rule`` against the year's
+        threshold."""
+        return GATING_RULES[self.gating_rule](births, deaths, self.gate_threshold(year))
 
     def echo(self) -> dict:
         doc = asdict(self)

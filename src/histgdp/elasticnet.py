@@ -45,7 +45,6 @@ import numpy as np
 
 from .config import DEFAULT_ALPHA_GRID
 from .errors import NumericalError, ValidationError
-from .numerics import Matrix
 
 DEFAULT_TOL = 1e-7  # largest KKT violation a fit may keep
 DEFAULT_MAX_STEPS = 10_000
@@ -60,19 +59,15 @@ _REPAIR_SWEEPS = 3
 
 
 def _unpack(x, feature_names=None):
-    if isinstance(x, Matrix):
-        values = x.values
-        names = x.col_labels
-    else:
-        values = np.asarray(x, dtype=float)
-        names = None
-    if feature_names is not None:
-        names = tuple(feature_names)
-    if names is None:
-        names = tuple(f"x{j}" for j in range(values.shape[1]))
-    if values.ndim != 2 or len(names) != values.shape[1]:
+    """``x`` as a 2-d float array with its column names (``x<j>`` by default)."""
+    values = np.asarray(x, dtype=float)
+    if values.ndim != 2:
+        raise ValidationError(f"design matrix must be 2-d, got ndim={values.ndim}")
+    if feature_names is None:
+        return values, tuple(f"x{j}" for j in range(values.shape[1]))
+    if len(feature_names) != values.shape[1]:
         raise ValidationError("design matrix and feature names are inconsistent")
-    return values, names
+    return values, tuple(feature_names)
 
 
 def _check_standardized(values: np.ndarray):
@@ -526,13 +521,14 @@ def en_fit(
     )
 
 
-def en_predict(model: EnModel, x_new) -> np.ndarray:
+def en_predict(model: EnModel, x_new, feature_names=None) -> np.ndarray:
     """Predict on raw-scale rows using the model's stored standardization.
 
-    Columns are matched by name; extra columns are ignored with a warning,
-    a missing model column is an error.
+    ``feature_names`` names the columns of ``x_new``, as in :func:`en_fit`
+    (``x<j>`` by default).  Columns are matched by name; extra columns are
+    ignored with a warning, a missing model column is an error.
     """
-    values, names = _unpack(x_new)
+    values, names = _unpack(x_new, feature_names)
     std = model.standardize_rows(values, names)
     extra = set(names) - set(model.feature_names)
     if extra:
@@ -549,6 +545,9 @@ def lambda_path(x, y, alpha: float, n_lambda: int = 100, ratio: float = 1e-4) ->
     ``lambda_max = 2 * max_j |x_j' (y - mean(y))| / alpha`` is the smallest
     penalty whose l1 part zeroes every coordinate under this loss scaling;
     for ``alpha = 0`` the grid is anchored at the ``alpha = 0.01`` value.
+    The grid falls to ``ratio * lambda_max``, and a ``ratio`` outside
+    (0, 1) raises: at 1 or above no lambda leaves the all-zero solution,
+    0 sets every lambda after the first to 0, and below 0 they are NaN.
     """
     values, _ = _unpack(x)
     yv = np.asarray(y, dtype=float)
@@ -557,6 +556,8 @@ def lambda_path(x, y, alpha: float, n_lambda: int = 100, ratio: float = 1e-4) ->
         raise ValidationError(f"lambda_path: alpha must lie in [0, 1], got {alpha}")
     if n_lambda < 1:
         raise ValidationError("lambda_path: n_lambda must be >= 1")
+    if not 0.0 < ratio < 1.0:
+        raise ValidationError(f"lambda_path: ratio must lie in (0, 1), got {ratio}")
     a_eff = alpha if alpha > 0.0 else 0.01
     lam_max = 2.0 * float(np.max(np.abs(values.T @ yc))) / a_eff if values.size else 0.0
     if lam_max <= 0.0:

@@ -310,7 +310,15 @@ def evaluate_models(
     reason, never silently dropped; any other exception propagates.  A
     prebuilt ``statics`` cache (built with the same feature settings)
     lets repeated evaluations on one dataset skip feature construction.
+    A dataset with fewer than ``MIN_COUNTRIES`` countries, which every
+    split would reject, raises :class:`ValidationError` before any work.
     """
+    n_countries = len(dataset.locations.countries())
+    if n_countries < MIN_COUNTRIES:
+        raise ValidationError(
+            f"evaluate_models: need at least {MIN_COUNTRIES} countries to hold out, "
+            f"got {n_countries}"
+        )
     if n_splits is None:
         n_splits = config.n_splits
     if master_seed is None:

@@ -3,8 +3,11 @@
 For the linear elastic-net model the Shapley value of feature i at an
 instance has the closed form ``beta_i * (x_i - mean_i)`` in standardized
 space, with absent features represented by their background mean (the
-independence convention).  A model-agnostic permutation-sampling estimator
-cross-validates the closed form and covers any prediction function.
+independence convention).  The closed form reads its background, and
+:func:`attribute_rows` its instances, from a :class:`FeatureMatrix`,
+matched to the model's columns by name.  A model-agnostic
+permutation-sampling estimator, on plain arrays, cross-validates the
+closed form and covers any prediction function.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .data_ingest import format_float, write_table
 from .elasticnet import EnModel
 from .errors import ValidationError
 from .features import FeatureMatrix
-from .numerics import Matrix
 
 MIN_PERMUTATIONS = 10
 
@@ -37,24 +39,16 @@ class Attribution:
     se: np.ndarray | None = None
 
 
-def _columns(source):
-    if isinstance(source, FeatureMatrix):
-        return source.values, source.columns
-    if isinstance(source, Matrix):
-        if source.col_labels is None:
-            raise ValidationError("background matrix needs column labels")
-        return source.values, source.col_labels
-    raise ValidationError("background must be a FeatureMatrix or labeled Matrix")
-
-
 def _linear_attributions(model: EnModel, keys, x_std, background) -> list[Attribution]:
     """Closed-form attributions of standardized rows ``x_std`` (see
     :meth:`EnModel.standardize_rows`), one per key, against
-    ``background``'s mean."""
-    bg_values, bg_names = _columns(background)
-    if bg_values.shape[0] < 1:
+    ``background``'s mean: a :class:`FeatureMatrix`, whose columns are
+    matched to the model's by name."""
+    if not isinstance(background, FeatureMatrix):
+        raise ValidationError("background must be a FeatureMatrix")
+    if background.values.shape[0] < 1:
         raise ValidationError("background must contain at least one row")
-    bg_std_mean = model.standardize_rows(bg_values, bg_names).mean(axis=0)
+    bg_std_mean = model.standardize_rows(background.values, background.columns).mean(axis=0)
     phi = model.coefficients * (x_std - bg_std_mean)
     base = model.intercept + float(model.coefficients @ bg_std_mean)
     return [
@@ -73,8 +67,9 @@ def shapley_linear_exact(model: EnModel, x_row, background, key=("", 0)) -> Attr
     """Exact Shapley values for a linear model on standardized features.
 
     ``x_row`` is a raw-scale feature mapping (dict) or vector aligned with
-    the model's features; ``background`` supplies the reference
-    distribution (typically the period's training matrix).
+    the model's features; ``background`` is a :class:`FeatureMatrix` that
+    supplies the reference distribution (typically the period's training
+    rows).
     """
     if isinstance(x_row, dict):
         values, names = [list(x_row.values())], list(x_row)
@@ -152,7 +147,7 @@ def shapley_permutation(
 
 def attribute_rows(model: EnModel, fm: FeatureMatrix, background=None) -> list[Attribution]:
     """Exact attributions for every row of a feature matrix."""
-    x_std = model.standardize_rows(*_columns(fm))
+    x_std = model.standardize_rows(fm.values, fm.columns)
     return _linear_attributions(
         model, fm.row_keys, x_std, fm if background is None else background
     )

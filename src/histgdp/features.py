@@ -49,7 +49,7 @@ import numpy as np
 from .data_ingest import FLOWS, LEVELS, FlowAssignment, LocationTable, assign_flows
 from .data_ingest import write_table
 from .errors import ValidationError
-from .numerics import Matrix, spearman, svd
+from .numerics import spearman, svd
 
 DEFAULT_REFERENCE_YEAR = 2023
 N_SVD_FACTORS = 5
@@ -217,10 +217,17 @@ def avg_ubiquity(counts: CountTensor, flow: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RcaResult:
-    matrix: Matrix  # binary specialization matrix on the kept rows/cols
+    """The binary specialization matrix on the kept rows and columns:
+    ``binary[i, k]`` is location ``locations[i]`` in occupation
+    ``occupations[k]``; ``kept_rows`` are the positions of its rows in the
+    count tensor."""
+
+    binary: np.ndarray
+    locations: tuple
+    occupations: tuple
     dropped_locations: tuple
     dropped_occupations: tuple
-    kept_rows: np.ndarray  # positions of the matrix rows in the count tensor
+    kept_rows: np.ndarray
 
 
 def rca_matrix(counts: CountTensor, flow: str) -> RcaResult:
@@ -242,11 +249,9 @@ def rca_matrix(counts: CountTensor, flow: str) -> RcaResult:
     grand = kept.sum()
     binary = (kept * grand >= np.outer(row_tot, col_tot)).astype(float)
     return RcaResult(
-        matrix=Matrix(
-            binary,
-            row_labels=tuple(np.array(counts.location_ids)[keep_rows]),
-            col_labels=tuple(np.array(counts.occupations)[keep_cols]),
-        ),
+        binary=binary,
+        locations=tuple(np.array(counts.location_ids)[keep_rows]),
+        occupations=tuple(np.array(counts.occupations)[keep_cols]),
         dropped_locations=tuple(np.array(counts.location_ids)[~keep_rows]),
         dropped_occupations=tuple(np.array(counts.occupations)[~keep_cols]),
         kept_rows=np.flatnonzero(keep_rows),
@@ -313,8 +318,10 @@ def _merge_ties(v: np.ndarray) -> np.ndarray:
 def eci(m) -> EciResult:
     """Complexity indices as an eigenvector of the mutual-averaging map.
 
-    A location's complexity is the average complexity of the occupations
-    it is specialized in, and vice versa.  Iterated from a start vector and
+    ``m`` is a binary specialization array, locations by occupations, as
+    :attr:`RcaResult.binary` holds it.  A location's complexity is the
+    average complexity of the occupations it is specialized in, and vice
+    versa.  Iterated from a start vector and
     z-scored every round, that map converges to an eigenvector of
     ``W = D^-1 M U^-1 M'`` (``D``, ``U``: diversity and ubiquity); this is
     the method of reflections (Hidalgo & Hausmann 2009) read spectrally
@@ -333,7 +340,7 @@ def eci(m) -> EciResult:
     start vector then tells the locations apart without depending on their
     order.
     """
-    mv = m.values if isinstance(m, Matrix) else np.asarray(m, dtype=float)
+    mv = np.asarray(m, dtype=float)
     rows, cols = mv.shape
     if rows < 2 or cols < 2:
         return EciResult(eci=np.zeros(rows), pci=np.zeros(cols), degenerate=True)
@@ -480,7 +487,10 @@ def initial_gdp(location_id, lag_year, source_levels, model_levels, locations: L
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Named feature columns for (location, snapshot-year) rows, with each
-    row's ``init_gdp`` provenance once :func:`attach_initial_gdp` appended it."""
+    row's ``init_gdp`` provenance once :func:`attach_initial_gdp` appended it.
+
+    The package's one labelled table: the numeric kernels take its
+    ``values`` and ``columns`` as an array and a tuple of names."""
 
     row_keys: tuple  # ((location_id, year), ...)
     columns: tuple
@@ -498,9 +508,6 @@ class FeatureMatrix:
             raise ValidationError("duplicate feature column names")
         if self.values.shape != (len(self.row_keys), len(self.columns)):
             raise ValidationError("feature matrix shape does not match keys/columns")
-
-    def to_matrix(self) -> Matrix:
-        return Matrix(self.values, row_labels=self.row_keys, col_labels=self.columns)
 
     def subset(self, keys) -> "FeatureMatrix":
         keys = tuple(keys)
@@ -610,7 +617,7 @@ def _eci_column(tensor: CountTensor, flow: str, results: dict) -> np.ndarray:
     out = np.zeros(len(tensor.location_ids))
     if tensor.weighted[flow].any():
         rca = rca_matrix(tensor, flow)
-        result = results[(tensor.level, flow)] = eci(rca.matrix)
+        result = results[(tensor.level, flow)] = eci(rca.binary)
         out[rca.kept_rows] = result.eci
     return out
 

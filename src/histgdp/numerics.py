@@ -7,56 +7,27 @@ squares through the SVD pseudo-inverse, column standardization,
 interpolated quantiles, the Kruskal-Wallis rank test with its chi-square
 survival function, and the two fit metrics used throughout.
 
-All functions are pure; none mutate their inputs.
+Every routine takes plain arrays; where column names matter
+(:func:`standardize`) they come as a tuple beside the array.  The
+package's labelled table is ``features.FeatureMatrix``.  All functions
+are pure; none mutate their inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 
+
 def _as_array(m) -> np.ndarray:
-    values = m.values if isinstance(m, Matrix) else np.asarray(m, dtype=float)
+    values = np.asarray(m, dtype=float)
     if values.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got ndim={values.ndim}")
     return values
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """A dense float matrix with optional row/column labels.
-
-    Values are stored row-major.  Construction validates that every entry
-    is finite and that label lengths match the shape.
-    """
-
-    values: np.ndarray
-    row_labels: tuple | None = None
-    col_labels: tuple | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValidationError(f"matrix must be 2-d, got ndim={values.ndim}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("matrix contains non-finite values")
-        object.__setattr__(self, "values", values)
-        if self.row_labels is not None:
-            object.__setattr__(self, "row_labels", tuple(self.row_labels))
-            if len(self.row_labels) != values.shape[0]:
-                raise ValidationError("row label count does not match row count")
-        if self.col_labels is not None:
-            object.__setattr__(self, "col_labels", tuple(self.col_labels))
-            if len(self.col_labels) != values.shape[1]:
-                raise ValidationError("column label count does not match column count")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -144,36 +115,39 @@ def ols_fit(x, y) -> OlsResult:
 
 @dataclass(frozen=True)
 class StandardizeResult:
-    matrix: Matrix
+    """Standardized ``values`` with their ``columns``, the kept columns'
+    raw-scale ``means`` and ``sds``, and the ``dropped`` constant columns."""
+
+    values: np.ndarray
+    columns: tuple
     means: np.ndarray
     sds: np.ndarray
-    dropped: tuple = field(default_factory=tuple)
+    dropped: tuple = ()
 
 
-def standardize(m) -> StandardizeResult:
+def standardize(values, columns=None) -> StandardizeResult:
     """Center and scale columns to mean 0, population sd 1.
 
-    Constant columns carry no information for a penalized regression and
-    are dropped; their names are recorded so callers can report them.
+    ``columns`` names the columns (``col_<j>`` by default).  Constant
+    columns carry no information for a penalized regression and are
+    dropped; their names are recorded so callers can report them.
     """
-    if isinstance(m, Matrix):
-        values, labels = m.values, m.col_labels
-    else:
-        values = _as_array(m)
-        labels = None
-    if labels is None:
-        labels = tuple(f"col_{j}" for j in range(values.shape[1]))
+    values = _as_array(values)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("standardize: non-finite values")
+    if columns is None:
+        columns = tuple(f"col_{j}" for j in range(values.shape[1]))
+    elif len(columns) != values.shape[1]:
+        raise ValidationError("standardize: column name count does not match column count")
     means = values.mean(axis=0)
     sds = values.std(axis=0)  # population (ddof=0)
     keep = sds > 0
-    dropped = tuple(labels[j] for j in np.flatnonzero(~keep))
-    std = (values[:, keep] - means[keep]) / sds[keep]
-    kept_labels = tuple(labels[j] for j in np.flatnonzero(keep))
     return StandardizeResult(
-        matrix=Matrix(std, col_labels=kept_labels),
+        values=(values[:, keep] - means[keep]) / sds[keep],
+        columns=tuple(columns[j] for j in np.flatnonzero(keep)),
         means=means[keep],
         sds=sds[keep],
-        dropped=dropped,
+        dropped=tuple(columns[j] for j in np.flatnonzero(~keep)),
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_GATING_THRESHOLDS, GATING_RULES, RunConfig
+from .config import MIN_BOOTSTRAP_SAMPLES, RunConfig
 from .data_ingest import SNAPSHOT_YEARS, Dataset, LocationTable, format_float, parse_field
 from .data_ingest import read_table, write_json, write_table
 from .elasticnet import CvResult, EnModel, cv_design, en_cv, en_fit, fit_centered, solve_cv
@@ -37,7 +37,6 @@ from .features import (
 from .numerics import StandardizeResult, ols_fit, quantile, standardize
 from .rng import child_rng, child_seed
 
-MIN_BOOTSTRAP_SAMPLES = 50
 MAX_RESAMPLE_ATTEMPTS = 100  # draws per replicate before a constant response is fatal
 
 
@@ -65,27 +64,6 @@ def fitted_periods(source: dict) -> list:
     the ones :func:`fit_periods` fits."""
     labeled_years = {year for (_, year) in source}
     return [p for p in PERIODS if labeled_years & set(p.snapshots)]
-
-
-@dataclass(frozen=True)
-class GatingPolicy:
-    """Minimum unweighted birth/death counts required to emit an estimate."""
-
-    thresholds: tuple = DEFAULT_GATING_THRESHOLDS
-    rule: str = "both"  # a key of config.GATING_RULES
-
-    def threshold(self, year: int) -> int:
-        for cap, t in self.thresholds:
-            if year <= cap:
-                return t
-        return self.thresholds[-1][1]
-
-    def passes(self, births: int, deaths: int, year: int) -> bool:
-        return GATING_RULES[self.rule](births, deaths, self.threshold(year))
-
-    @classmethod
-    def from_config(cls, config: RunConfig) -> "GatingPolicy":
-        return cls(thresholds=config.gating_thresholds, rule=config.gating_rule)
 
 
 @dataclass(frozen=True)
@@ -235,7 +213,8 @@ def period_design(
             f"rows, fewer than 2*k={2 * config.k_folds}; reduce k_folds"
         )
     y = np.array([math.log10(labels[k]) for k in labeled_keys])
-    std = standardize(period_features.subset(labeled_keys).to_matrix())
+    labeled = period_features.subset(labeled_keys)
+    std = standardize(labeled.values, labeled.columns)
     return PeriodDesign(tuple(labeled_keys), std, y)
 
 
@@ -244,11 +223,12 @@ def fit_period_model(design: PeriodDesign, cv: CvResult) -> TrainedPeriodModel:
     full-data solution there."""
     std = design.std
     model = en_fit(
-        std.matrix,
+        std.values,
         design.y,
         cv.chosen_alpha,
         cv.chosen_lambda,
         warm_start=cv.chosen_coefficients,
+        feature_names=std.columns,
         means=std.means,
         sds=std.sds,
     )
@@ -257,7 +237,7 @@ def fit_period_model(design: PeriodDesign, cv: CvResult) -> TrainedPeriodModel:
         dropped_columns=std.dropped,
         training_keys=design.training_keys,
         cv=cv,
-        x=std.matrix.values,
+        x=std.values,
         y=design.y,
     )
 
@@ -274,7 +254,7 @@ def train_period(
     labeled rows: :func:`period_design`, :func:`en_cv` and
     :func:`fit_period_model`."""
     design = period_design(period, period_features, labels, config, completed_periods)
-    cv = en_cv(design.std.matrix, design.y, seed=seed, **_cv_settings(config))
+    cv = en_cv(design.std.values, design.y, seed=seed, **_cv_settings(config))
     return fit_period_model(design, cv)
 
 
@@ -295,9 +275,9 @@ def predict_gated(
     fm: FeatureMatrix,
     keys,
     gate_counts,
-    policy: GatingPolicy,
+    config: RunConfig,
 ):
-    """Predict only the keys that pass the gating rule.
+    """Predict only the keys that pass the gate (:meth:`RunConfig.passes_gate`).
 
     ``gate_counts`` maps a (location, year) key to its unweighted
     (births, deaths).  Returns (predictions by key in log10, gated keys).
@@ -305,7 +285,7 @@ def predict_gated(
     passed, gated = [], []
     for key in keys:
         births, deaths = gate_counts(key)
-        (passed if policy.passes(births, deaths, key[1]) else gated).append(key)
+        (passed if config.passes_gate(births, deaths, key[1]) else gated).append(key)
     predictions = {}
     if passed:
         values = predict_log10(tpm, fm, passed)
@@ -484,7 +464,6 @@ def fit_periods(dataset: Dataset, config: RunConfig, runs, statics: dict, failur
     ``failures[run]``.  Runs already in ``failures`` are skipped, so the
     consumer of the fits can end a run too.
     """
-    policy = GatingPolicy.from_config(config)
     state = [_Run(source, seed, fitted_periods(source)) for source, seed in runs]
     for index, period in enumerate(PERIODS):
         live = {
@@ -493,10 +472,10 @@ def fit_periods(dataset: Dataset, config: RunConfig, runs, statics: dict, failur
         }
         if live:
             build_statics(dataset, config, period.snapshots, statics)
-            yield from _fit_period(dataset, config, policy, index, live, statics, failures)
+            yield from _fit_period(dataset, config, index, live, statics, failures)
 
 
-def _fit_period(dataset, config, policy, index, live, statics, failures):
+def _fit_period(dataset, config, index, live, statics, failures):
     """Period ``index`` of the runs in ``live`` for :func:`fit_periods`:
     each stage run by run, less the runs an earlier stage failed, with one
     CV solve for all."""
@@ -527,7 +506,7 @@ def _fit_period(dataset, config, policy, index, live, statics, failures):
     else:
         designs = each(lambda r, item: period_design(period, *item, config, completed), inputs)
         cvs = each(
-            lambda r, d: cv_design(d.std.matrix, d.y, seed=seeds[r], **_cv_settings(config)),
+            lambda r, d: cv_design(d.std.values, d.y, seed=seeds[r], **_cv_settings(config)),
             designs,
         )
 
@@ -539,7 +518,7 @@ def _fit_period(dataset, config, policy, index, live, statics, failures):
         models = each(chosen, dict(zip(cvs, solve_cv(list(cvs.values())))))
     fits = each(
         lambda r, tpm: _predict_period(
-            dataset, policy, period, r, live[r], *inputs[r], tpm, statics
+            dataset, config, period, r, live[r], *inputs[r], tpm, statics
         ),
         models,
     )
@@ -555,7 +534,7 @@ def _period_inputs(dataset: Dataset, period: Period, run: _Run, block: FeatureMa
     return fm, {k: run.source[k] for k in fm.row_keys if k in run.source}
 
 
-def _predict_period(dataset, policy, period, r, run, fm, labels, tpm, statics) -> PeriodFit:
+def _predict_period(dataset, config, period, r, run, fm, labels, tpm, statics) -> PeriodFit:
     """A run's gated predictions of ``period`` and their regional
     rescaling; the rescaled levels enter the run's lag store."""
     locations = dataset.locations
@@ -565,7 +544,7 @@ def _predict_period(dataset, policy, period, r, run, fm, labels, tpm, statics) -
         return statics[key[1]].gate_counts(key[0])
 
     candidate_keys = [k for k in fm.row_keys if k not in source]
-    predictions, gated = predict_gated(tpm, fm, candidate_keys, gate_counts, policy)
+    predictions, gated = predict_gated(tpm, fm, candidate_keys, gate_counts, config)
 
     # regional rescaling against the country value (source wins)
     levels = {k: 10.0 ** v for k, v in predictions.items()}

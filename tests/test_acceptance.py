@@ -24,12 +24,13 @@ from histgdp.elasticnet import _solve_stack, en_fit, fit_centered, lambda_path
 from histgdp.evaluation import evaluate_models
 from histgdp.explain import attribute_rows, shapley_linear_exact, shapley_permutation
 from histgdp.features import (
+    FeatureMatrix,
     attach_initial_gdp,
     build_static_features,
     eci,
     stack_features,
 )
-from histgdp.numerics import Matrix, ols_fit, spearman, standardize, svd
+from histgdp.numerics import ols_fit, spearman, standardize, svd
 from histgdp.pipeline import PERIODS, bootstrap_ci, fit_periods, run_full
 from histgdp.rng import child_seed
 from histgdp.synthetic import make_synthetic_world, write_world_csv
@@ -37,6 +38,11 @@ from histgdp.synthetic import make_synthetic_world, write_world_csv
 from conftest import record_acceptance
 
 DATASET_DIR = os.environ.get("HISTGDP_DATASET_DIR")
+
+
+def background_of(values, columns):
+    """A background table of ``values`` under ``columns``, one row key per row."""
+    return FeatureMatrix(tuple((f"bg{i}", 0) for i in range(len(values))), tuple(columns), values)
 
 
 def _published_config(n_splits):
@@ -94,7 +100,7 @@ class TestCriterion3ElasticNet:
         # lambda = 0 equals OLS
         for seed in range(5):
             r = np.random.default_rng(300 + seed)
-            x = standardize(r.normal(size=(60, 10))).matrix.values
+            x = standardize(r.normal(size=(60, 10))).values
             y = r.normal(size=60)
             model = en_fit(x, y, 0.5, 0.0, tol=1e-13)
             ols = ols_fit(x, y)
@@ -104,7 +110,7 @@ class TestCriterion3ElasticNet:
         for seed in range(8):
             r = np.random.default_rng(400 + seed)
             p = int(r.integers(2, 21))
-            x = standardize(r.normal(size=(60, p))).matrix.values
+            x = standardize(r.normal(size=(60, p))).values
             y = r.normal(size=60)
             lam = float(r.uniform(0.5, 10.0))
             model = en_fit(x, y, 0.0, lam, tol=1e-13)
@@ -131,7 +137,7 @@ class TestCriterion3ElasticNet:
             r = np.random.default_rng(3000 + i)
             p = int(r.integers(2, 26))
             n = int(r.integers(p + 10, 120))
-            x = standardize(r.normal(size=(n, p))).matrix.values
+            x = standardize(r.normal(size=(n, p))).values
             y = r.normal(size=n)
             alpha = float(r.uniform(0.05, 1.0))
             lam = float(r.uniform(0.1, 2.0) * np.max(np.abs(x.T @ (y - y.mean()))))
@@ -198,7 +204,7 @@ class TestCriterion5Shapley:
             background = rng.normal(size=(5, p))
             x = rng.normal(size=p)
             att = shapley_linear_exact(
-                model, x, Matrix(background, col_labels=model.feature_names)
+                model, x, background_of(background, model.feature_names)
             )
             bg_std = (background - means) / sds
             mean_std = bg_std.mean(axis=0)
@@ -239,7 +245,7 @@ class TestCriterion5Shapley:
             means=np.zeros(p), sds=np.ones(p), n_sweeps=1, max_delta=0.0,
         )
         exact = shapley_linear_exact(
-            model, x, Matrix(background, col_labels=model.feature_names)
+            model, x, background_of(background, model.feature_names)
         )
         est = shapley_permutation(
             lambda z: intercept + float(coefs @ z), x, background,

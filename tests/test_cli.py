@@ -181,14 +181,36 @@ class TestEvaluate:
         assert summary["n_splits"] == 3
         assert "kruskal_wallis" in summary
 
+    def test_too_few_countries_exits_one_before_any_split(self, tmp_path, capsys):
+        # every split would reject a world of 4 countries: refused up front
+        from histgdp.synthetic import make_synthetic_world
+
+        world = make_synthetic_world(4, 10, seed=0)
+        paths = write_world_csv(world.dataset, tmp_path / "world")
+        out = tmp_path / "out"
+        code = run([
+            "evaluate", "--biographies", paths["biographies"], "--locations",
+            paths["locations"], "--gdp", paths["gdp"], "--output-dir", out, "--n-splits", 3,
+        ])
+        assert code == 1
+        assert "need at least 5 countries to hold out, got 4" in capsys.readouterr().err
+        assert not (out / "evaluation.csv").exists()
+
 
 class TestSettingsEverySplitRejects:
     # settings every held-out split would reject: refused before any input is read
     @pytest.mark.parametrize("flag,value,message", [
         ("--test-fraction", "1.5", r"test_fraction must lie in \(0, 1\), got 1.5"),
         ("--k-folds", "1", "k_folds must be at least 2, got 1"),
-        ("--n-lambda", "0", "n_lambda must be at least 1, got 0"),
+        ("--n-lambda", "0", "n_lambda must be at least 2, got 0"),
         ("--alpha-grid", "", "alpha_grid must not be empty"),
+        # a one-lambda path, or a flat one, selects nothing in every period
+        ("--n-lambda", "1", "n_lambda must be at least 2, got 1"),
+        ("--lambda-ratio", "1", r"lambda_ratio must lie in \(0, 1\), got 1.0"),
+        ("--lambda-ratio", "0", r"lambda_ratio must lie in \(0, 1\), got 0.0"),
+        ("--lambda-ratio", "-0.5", r"lambda_ratio must lie in \(0, 1\), got -0.5"),
+        ("--n-splits", "0", "n_splits must be at least 1, got 0"),
+        ("--bootstrap-samples", "10", "bootstrap_samples must be at least 50, got 10"),
     ])
     @pytest.mark.parametrize("command", ["evaluate", "estimate"])
     def test_exits_one_before_any_work(self, config_file, tmp_path, capsys, command,

@@ -10,7 +10,7 @@ import pytest
 
 from histgdp.cli import _resolve_config, build_parser
 from histgdp.config import CHOICES, GATING_RULES, RunConfig
-from histgdp.pipeline import GatingPolicy
+from histgdp.errors import ValidationError
 
 SUBCOMMANDS = ("validate", "features", "estimate", "evaluate", "explain", "correlate")
 
@@ -74,13 +74,19 @@ def test_flag_choices_are_the_choices_table():
 def test_gating_rules_are_the_gating_choices():
     assert tuple(GATING_RULES) == CHOICES["gating_rule"]
     for rule in CHOICES["gating_rule"]:
-        assert GatingPolicy(rule=rule).passes(10, 10, 2000)
-        assert not GatingPolicy(rule=rule).passes(0, 0, 2000)
+        assert RunConfig(gating_rule=rule).passes_gate(10, 10, 2000)
+        assert not RunConfig(gating_rule=rule).passes_gate(0, 0, 2000)
 
 
 def test_unknown_gating_rule_raises():
-    with pytest.raises(KeyError):
-        GatingPolicy(rule="most").passes(10, 10, 2000)
+    with pytest.raises(ValidationError, match="unknown gating_rule 'most'"):
+        RunConfig(gating_rule="most")
+
+
+def test_empty_gating_thresholds_raise():
+    # with no year cap every gated prediction would have no threshold to read
+    with pytest.raises(ValidationError, match="gating_thresholds must not be empty"):
+        RunConfig(gating_thresholds=())
 
 
 def test_readme_config_keys_are_the_fields():

@@ -13,14 +13,14 @@ from histgdp.elasticnet import (
     lambda_path,
 )
 from histgdp.errors import NumericalError, ValidationError
-from histgdp.numerics import Matrix, ols_fit, standardize
+from histgdp.numerics import ols_fit, standardize
 
 
 def _standardized_problem(seed, n=60, p=8, signal=None):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n, p))
     std = standardize(raw)
-    x = std.matrix.values
+    x = std.values
     if signal is None:
         y = rng.normal(size=n)
     else:
@@ -135,6 +135,14 @@ class TestLambdaPath:
             lambda_path(x, y, 0.0, n_lambda=3)[0] - lambda_path(x, y, 0.01, n_lambda=3)[0]
         ) < 1e-12
 
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.0, 2.0])
+    def test_ratio_outside_unit_interval_rejected(self, ratio):
+        # 1 keeps every lambda at the all-zero threshold, 0 drops the rest to
+        # zero, and a negative ratio gives NaN lambdas
+        x, y = _standardized_problem(9, n=30, p=4)
+        with pytest.raises(ValidationError, match=r"ratio must lie in \(0, 1\)"):
+            lambda_path(x, y, 0.5, n_lambda=10, ratio=ratio)
+
 
 class TestPredict:
     def test_training_reproduction(self):
@@ -143,10 +151,10 @@ class TestPredict:
         std = standardize(raw)
         y = rng.normal(size=40)
         model = en_fit(
-            std.matrix, y, 0.5, 1.0, means=std.means, sds=std.sds
+            std.values, y, 0.5, 1.0, feature_names=std.columns, means=std.means, sds=std.sds
         )
-        fitted = model.intercept + std.matrix.values @ model.coefficients
-        pred = en_predict(model, Matrix(raw, col_labels=std.matrix.col_labels))
+        fitted = model.intercept + std.values @ model.coefficients
+        pred = en_predict(model, raw, feature_names=std.columns)
         assert np.max(np.abs(pred - fitted)) <= 1e-12
 
     def test_all_zero_coefficients(self):
@@ -161,23 +169,22 @@ class TestPredict:
         raw = rng.normal(size=(30, 3))
         std = standardize(raw)
         y = raw @ np.array([1.0, -2.0, 0.5]) + 0.01 * rng.normal(size=30)
-        model = en_fit(std.matrix, y, 0.2, 0.1, means=std.means, sds=std.sds)
+        model = en_fit(std.values, y, 0.2, 0.1, feature_names=std.columns, means=std.means, sds=std.sds)
         row = std.means.reshape(1, -1)
-        pred = en_predict(model, Matrix(row, col_labels=std.matrix.col_labels))
+        pred = en_predict(model, row, feature_names=std.columns)
         assert abs(pred[0] - model.intercept) <= 1e-12
 
     def test_missing_column_rejected(self):
         x, y = _standardized_problem(13, n=20, p=3)
         model = en_fit(x, y, 0.5, 0.5, feature_names=("a", "b", "c"))
         with pytest.raises(ValidationError, match="'b'"):
-            en_predict(model, Matrix(np.zeros((2, 2)), col_labels=("a", "c")))
+            en_predict(model, np.zeros((2, 2)), feature_names=("a", "c"))
 
     def test_extra_column_warned_and_ignored(self):
         x, y = _standardized_problem(14, n=20, p=2)
         model = en_fit(x, y, 0.5, 0.5, feature_names=("a", "b"))
-        wide = Matrix(np.zeros((2, 3)), col_labels=("a", "b", "junk"))
         with pytest.warns(UserWarning):
-            pred = en_predict(model, wide)
+            pred = en_predict(model, np.zeros((2, 3)), feature_names=("a", "b", "junk"))
         assert pred.shape == (2,)
 
 
@@ -205,7 +212,7 @@ class TestCv:
     def test_noise_prefers_heavy_shrinkage(self):
         rng = np.random.default_rng(18)
         raw = rng.normal(size=(60, 10))
-        x = standardize(raw).matrix.values
+        x = standardize(raw).values
         y = rng.normal(size=60)  # pure noise
         res = en_cv(x, y, alpha_grid=(1.0,), k=5, seed=3, n_lambda=30)
         path = lambda_path(x, y, 1.0, n_lambda=30)
@@ -219,11 +226,11 @@ class TestCv:
             rng = np.random.default_rng(1000 + rep)
             raw = rng.normal(size=(60, 20))
             std = standardize(raw)
-            x = std.matrix.values
+            x = std.values
             y = 2.0 * x[:, 3] - 1.5 * x[:, 11] + 0.05 * rng.normal(size=60)
             res = en_cv(x, y, alpha_grid=(1.0,), k=4, seed=rep, n_lambda=25, lambda_ratio=1e-3)
             model = en_fit(x, y, res.chosen_alpha, res.chosen_lambda,
-                           feature_names=std.matrix.col_labels)
+                           feature_names=std.columns)
             selected = set(model.selected_features)
             if {"col_3", "col_11"} <= selected:
                 hits += 1
@@ -296,7 +303,7 @@ def _dummy_design(seed, n=120, p_cont=6, levels=5):
     rng = np.random.default_rng(seed)
     cont = rng.normal(size=(n, p_cont))
     group = np.arange(n) % levels
-    x = standardize(np.hstack([cont, np.eye(levels)[group]])).matrix.values
+    x = standardize(np.hstack([cont, np.eye(levels)[group]])).values
     y = cont @ rng.normal(size=p_cont) + rng.normal(size=levels)[group] + 0.3 * rng.normal(size=n)
     return x, y
 

@@ -183,23 +183,27 @@ class TestEvaluateModels:
         assert dist.splits[0] == alone[0]  # bit for bit: retried alone, then a batch of one
 
     def test_batch_size_does_not_change_results(self, small_world, monkeypatch, tmp_path):
-        config = small_test_config(n_splits=3)
-        batches, written = [], []
-        for budget in (1, 1 << 30):  # one split per batch, then all three together
-            monkeypatch.setattr(evaluation, "BATCH_BYTES", budget)
-            dist = evaluate_models(small_world.dataset, config, master_seed=2)
-            batches.append(dist.splits)
-            table, summary = tmp_path / f"evaluation_{budget}.csv", tmp_path / f"summary_{budget}.json"
-            write_evaluation_csv(dist, table)
-            write_evaluation_summary(dist, summary)
-            written.append((table.read_bytes(), summary.read_bytes()))
-        for one, three in zip(*batches):
-            assert one.failed is None and three.failed is None
-            for name in ("r2_baseline", "r2_full", "mae_baseline", "mae_full"):
-                assert getattr(three, name) == pytest.approx(getattr(one, name), rel=1e-9)
-            assert three.per_period_mae_full == pytest.approx(one.per_period_mae_full, rel=1e-9)
-        # the written files are the same bytes at any batch size
-        assert written[0] == written[1]
+        for rule in ("min_mean", "fold_average"):
+            config = small_test_config(n_splits=3, cv_selection_rule=rule)
+            batches, written = [], []
+            for budget in (1, 1 << 30):  # one split per batch, then all three together
+                monkeypatch.setattr(evaluation, "BATCH_BYTES", budget)
+                dist = evaluate_models(small_world.dataset, config, master_seed=2)
+                batches.append(dist.splits)
+                table = tmp_path / f"evaluation_{rule}_{budget}.csv"
+                summary = tmp_path / f"summary_{rule}_{budget}.json"
+                write_evaluation_csv(dist, table)
+                write_evaluation_summary(dist, summary)
+                written.append((table.read_bytes(), summary.read_bytes()))
+            for one, three in zip(*batches):
+                assert one.failed is None and three.failed is None
+                for name in ("r2_baseline", "r2_full", "mae_baseline", "mae_full"):
+                    assert getattr(three, name) == pytest.approx(getattr(one, name), rel=1e-9)
+                assert three.per_period_mae_full == pytest.approx(
+                    one.per_period_mae_full, rel=1e-9
+                )
+            # the written files are the same bytes at any batch size
+            assert written[0] == written[1], rule
 
     def test_no_leakage_between_train_and_test(self, small_world):
         # the explicit check inside run_single_split guards this; here we

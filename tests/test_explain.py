@@ -13,7 +13,13 @@ from histgdp.explain import (
     shapley_permutation,
 )
 from histgdp.features import FeatureMatrix
-from histgdp.numerics import Matrix, standardize
+from histgdp.numerics import standardize
+
+
+def background_of(values, columns):
+    """A background table of ``values`` under ``columns``, one row key per row."""
+    values = np.asarray(values, dtype=float)
+    return FeatureMatrix(tuple((f"bg{i}", 0) for i in range(len(values))), tuple(columns), values)
 
 
 def make_model(coefs, intercept=0.0, names=None, means=None, sds=None):
@@ -68,7 +74,7 @@ def brute_force_linear(model, x, background):
 class TestLinearExact:
     def test_two_feature_hand_case(self):
         model = make_model([2.0, 3.0])
-        bg = Matrix(np.zeros((1, 2)), col_labels=("f0", "f1"))
+        bg = background_of(np.zeros((1, 2)), ("f0", "f1"))
         att = shapley_linear_exact(model, np.array([1.0, 1.0]), bg)
         assert np.allclose(att.phi, [2.0, 3.0], atol=1e-12)
 
@@ -76,19 +82,19 @@ class TestLinearExact:
         model = make_model([1.5, -2.0, 0.3])
         rng = np.random.default_rng(0)
         bg_values = rng.normal(size=(20, 3))
-        bg = Matrix(bg_values, col_labels=("f0", "f1", "f2"))
+        bg = background_of(bg_values, ("f0", "f1", "f2"))
         att = shapley_linear_exact(model, bg_values.mean(axis=0), bg)
         assert np.allclose(att.phi, 0.0, atol=1e-12)
 
     def test_symmetry(self):
         model = make_model([2.0, 2.0])
-        bg = Matrix(np.zeros((1, 2)), col_labels=("f0", "f1"))
+        bg = background_of(np.zeros((1, 2)), ("f0", "f1"))
         att = shapley_linear_exact(model, np.array([0.7, 0.7]), bg)
         assert att.phi[0] == pytest.approx(att.phi[1], abs=1e-12)
 
     def test_dummy_axiom(self):
         model = make_model([0.0, 1.0])
-        bg = Matrix(np.ones((3, 2)), col_labels=("f0", "f1"))
+        bg = background_of(np.ones((3, 2)), ("f0", "f1"))
         att = shapley_linear_exact(model, np.array([5.0, 2.0]), bg)
         assert att.phi[0] == 0.0
 
@@ -103,7 +109,7 @@ class TestLinearExact:
         )
         background = rng.normal(size=(6, p))
         x = rng.normal(size=p)
-        bg = Matrix(background, col_labels=model.feature_names)
+        bg = background_of(background, model.feature_names)
         att = shapley_linear_exact(model, x, bg)
         oracle = brute_force_linear(model, x, background)
         assert np.max(np.abs(att.phi - oracle)) <= 1e-9
@@ -113,15 +119,20 @@ class TestLinearExact:
         rng = np.random.default_rng(seed)
         p = 7
         model = make_model(rng.normal(size=p), intercept=rng.normal())
-        bg = Matrix(rng.normal(size=(11, p)), col_labels=model.feature_names)
+        bg = background_of(rng.normal(size=(11, p)), model.feature_names)
         att = shapley_linear_exact(model, rng.normal(size=p), bg)
         assert abs(att.base + att.phi.sum() - att.prediction) <= 1e-9
 
     def test_missing_background_column(self):
         model = make_model([1.0, 1.0])
-        bg = Matrix(np.zeros((2, 1)), col_labels=("f0",))
+        bg = background_of(np.zeros((2, 1)), ("f0",))
         with pytest.raises(ValidationError, match="'f1'"):
             shapley_linear_exact(model, np.zeros(2), bg)
+
+    def test_background_must_be_a_feature_matrix(self):
+        model = make_model([1.0, 1.0])
+        with pytest.raises(ValidationError, match="FeatureMatrix"):
+            shapley_linear_exact(model, np.zeros(2), np.zeros((2, 2)))
 
 
 class TestPermutation:
@@ -133,7 +144,7 @@ class TestPermutation:
         background = rng.normal(size=(15, p))
         x = rng.normal(size=p)
         exact = shapley_linear_exact(
-            model, x, Matrix(background, col_labels=model.feature_names)
+            model, x, background_of(background, model.feature_names)
         )
 
         def f(z):
@@ -194,7 +205,7 @@ class TestRanking:
         a1 = shapley_linear_exact(
             make_model([1.0, -3.0, 0.0]),
             np.array([1.0, 1.0, 1.0]),
-            Matrix(np.zeros((1, 3)), col_labels=("f0", "f1", "f2")),
+            background_of(np.zeros((1, 3)), ("f0", "f1", "f2")),
         )
         ranking = rank_features([a1])
         assert [name for name, _ in ranking] == ["f1", "f0", "f2"]
@@ -204,14 +215,14 @@ class TestRanking:
         att = shapley_linear_exact(
             make_model([2.0, 2.0], names=("b", "a")),
             np.array([1.0, 1.0]),
-            Matrix(np.zeros((1, 2)), col_labels=("b", "a")),
+            background_of(np.zeros((1, 2)), ("b", "a")),
         )
         ranking = rank_features([att])
         assert [name for name, _ in ranking] == ["a", "b"]
 
     def test_duplicate_instances_stable(self):
         model = make_model([1.0, 2.0])
-        bg = Matrix(np.zeros((1, 2)), col_labels=("f0", "f1"))
+        bg = background_of(np.zeros((1, 2)), ("f0", "f1"))
         one = shapley_linear_exact(model, np.array([1.0, 1.0]), bg)
         assert rank_features([one]) == rank_features([one, one, one])
 
@@ -220,10 +231,12 @@ class TestRanking:
         raw = rng.normal(size=(12, 3))
         std = standardize(raw)
         y = raw @ np.array([1.0, 0.0, -2.0]) + 0.01 * rng.normal(size=12)
-        model = en_fit(std.matrix, y, 0.5, 0.01, means=std.means, sds=std.sds)
+        model = en_fit(
+            std.values, y, 0.5, 0.01, feature_names=std.columns, means=std.means, sds=std.sds
+        )
         fm = FeatureMatrix(
             row_keys=tuple((f"loc{i}", 1500) for i in range(12)),
-            columns=std.matrix.col_labels,
+            columns=std.columns,
             values=raw,
         )
         atts = attribute_rows(model, fm)

@@ -17,6 +17,7 @@ from histgdp.errors import ValidationError
 from histgdp.features import (
     NEAR_DEGENERATE_GAP,
     CountTensor,
+    FeatureMatrix,
     attach_initial_gdp,
     avg_age,
     avg_ubiquity,
@@ -158,17 +159,17 @@ class TestRca:
     def test_hand_example(self):
         t = tensor("country", ("A", "B"), ("x", "y"), [[4.0, 0.0], [1.0, 1.0]])
         res = rca_matrix(t, "births")
-        assert np.array_equal(res.matrix.values, [[1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(res.binary, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_uniform_counts_all_specialized(self):
         t = tensor("country", ("A", "B"), ("x", "y"), [[2.0, 2.0], [2.0, 2.0]])
         res = rca_matrix(t, "births")
-        assert np.array_equal(res.matrix.values, np.ones((2, 2)))
+        assert np.array_equal(res.binary, np.ones((2, 2)))
 
     def test_single_location_all_ones(self):
         t = tensor("country", ("A",), ("x", "y"), [[5.0, 1.0]])
         res = rca_matrix(t, "births")
-        assert np.array_equal(res.matrix.values, np.ones((1, 2)))
+        assert np.array_equal(res.binary, np.ones((1, 2)))
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(0)
@@ -177,14 +178,14 @@ class TestRca:
         t1 = tensor("country", tuple("abcdef"), tuple("wxyz"), base)
         for c in (2.0, 0.5, 3.0):
             t2 = tensor("country", tuple("abcdef"), tuple("wxyz"), c * base)
-            assert np.array_equal(rca_matrix(t1, "births").matrix.values,
-                                  rca_matrix(t2, "births").matrix.values)
+            assert np.array_equal(rca_matrix(t1, "births").binary,
+                                  rca_matrix(t2, "births").binary)
 
     def test_zero_rows_dropped_and_recorded(self):
         t = tensor("country", ("A", "B"), ("x", "y"), [[1.0, 2.0], [0.0, 0.0]])
         res = rca_matrix(t, "births")
         assert res.dropped_locations == ("B",)
-        assert res.matrix.row_labels == ("A",)
+        assert res.locations == ("A",)
 
     def test_all_zero_rejected(self):
         t = tensor("country", ("A",), ("x",), [[0.0]])
@@ -492,7 +493,7 @@ def reference_static_matrix(year, dataset, window_years, scale, reference_year):
         for flow in FLOWS:
             if t.weighted[flow].any():
                 rca = rca_matrix(t, flow)
-                eci_values[flow] = dict(zip(rca.matrix.row_labels, eci(rca.matrix).eci))
+                eci_values[flow] = dict(zip(rca.locations, eci(rca.binary).eci))
         for i, lid in enumerate(t.location_ids):
             row = []
             for flow in FLOWS:
@@ -643,7 +644,7 @@ class TestEciClosedForm:
                 for flow in FLOWS:
                     if not tensor.weighted[flow].any():
                         continue
-                    m = rca_matrix(tensor, flow).matrix.values
+                    m = rca_matrix(tensor, flow).binary
                     ref, lam2, gap = eigh_reference(m)
                     res = eci(m)
                     assert not res.degenerate
@@ -833,6 +834,17 @@ class TestElementwiseLinearize:
             linearize(bad, "asinh")
         with pytest.raises(ValidationError, match="unknown scale 'log'"):
             linearize(counts, "log")
+
+
+class TestFeatureMatrixChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            FeatureMatrix((("A", 1300),), ("a", "b"), np.array([[1.0, bad]]))
+
+    def test_shape_must_match_keys_and_columns(self):
+        with pytest.raises(ValidationError, match="shape"):
+            FeatureMatrix((("A", 1300),), ("a",), np.ones((1, 2)))
 
 
 class TestSubset:

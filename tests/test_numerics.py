@@ -5,7 +5,6 @@ import pytest
 
 from histgdp.errors import NumericalError, ValidationError
 from histgdp.numerics import (
-    Matrix,
     _midranks,
     chi2_sf,
     kruskal_wallis,
@@ -18,24 +17,6 @@ from histgdp.numerics import (
     standardize,
     svd,
 )
-
-
-class TestMatrix:
-    def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            Matrix(np.array([[1.0, np.nan]]))
-
-    def test_rejects_inf(self):
-        with pytest.raises(ValidationError):
-            Matrix(np.array([[np.inf], [0.0]]))
-
-    def test_label_length_checked(self):
-        with pytest.raises(ValidationError):
-            Matrix(np.ones((2, 2)), col_labels=("a",))
-
-    def test_shape(self):
-        m = Matrix(np.ones((3, 2)), row_labels=("a", "b", "c"))
-        assert m.shape == (3, 2)
 
 
 class TestSvd:
@@ -155,26 +136,34 @@ class TestOls:
 class TestStandardize:
     def test_basic_column(self):
         res = standardize(np.array([[1.0], [2.0], [3.0]]))
-        assert np.allclose(res.matrix.values[:, 0], [-1.224744871391589, 0.0, 1.224744871391589])
+        assert np.allclose(res.values[:, 0], [-1.224744871391589, 0.0, 1.224744871391589])
         assert abs(res.means[0] - 2.0) < 1e-15
         assert abs(res.sds[0] - 0.816496580927726) < 1e-15
 
     def test_idempotent(self):
         col = np.array([[-1.224744871391589], [0.0], [1.224744871391589]])
         res = standardize(col)
-        assert np.allclose(res.matrix.values, col, atol=1e-12)
+        assert np.allclose(res.values, col, atol=1e-12)
 
     def test_constant_column_dropped(self):
-        m = Matrix(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), col_labels=("c", "x"))
-        res = standardize(m)
+        res = standardize(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), ("c", "x"))
         assert res.dropped == ("c",)
-        assert res.matrix.col_labels == ("x",)
+        assert res.columns == ("x",)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            standardize(np.array([[1.0, bad], [2.0, 3.0]]))
+
+    def test_column_name_count_checked(self):
+        with pytest.raises(ValidationError, match="column name count"):
+            standardize(np.ones((2, 2)), ("a",))
 
     def test_moments(self):
         rng = np.random.default_rng(3)
         res = standardize(rng.normal(2.0, 5.0, size=(30, 4)))
-        assert np.max(np.abs(res.matrix.values.mean(axis=0))) <= 1e-12
-        assert np.max(np.abs(res.matrix.values.std(axis=0) - 1.0)) <= 1e-12
+        assert np.max(np.abs(res.values.mean(axis=0))) <= 1e-12
+        assert np.max(np.abs(res.values.std(axis=0) - 1.0)) <= 1e-12
 
 
 class TestQuantile:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from histgdp.config import RunConfig
 from histgdp.data_ingest import Location, LocationTable
 from histgdp import pipeline
 from histgdp.elasticnet import DEFAULT_TOL, en_predict, fit_centered
@@ -14,7 +15,6 @@ from histgdp.features import attach_initial_gdp, build_static_features
 from histgdp.pipeline import (
     PERIODS,
     SNAPSHOT_YEARS,
-    GatingPolicy,
     bootstrap_ci,
     fit_baseline,
     fit_periods,
@@ -46,25 +46,25 @@ class TestPeriodGrid:
 
 class TestGating:
     def test_threshold_schedule(self):
-        policy = GatingPolicy()
-        assert policy.threshold(1300) == 3
-        assert policy.threshold(1600) == 3
-        assert policy.threshold(1650) == 5
-        assert policy.threshold(1950) == 5
-        assert policy.threshold(2000) == 10
+        config = RunConfig()
+        assert config.gate_threshold(1300) == 3
+        assert config.gate_threshold(1600) == 3
+        assert config.gate_threshold(1650) == 5
+        assert config.gate_threshold(1950) == 5
+        assert config.gate_threshold(2000) == 10
 
     def test_spec_examples(self):
-        policy = GatingPolicy()
-        assert not policy.passes(2, 5, 1500)  # births below 3
-        assert policy.passes(5, 5, 1700)
-        assert not policy.passes(9, 20, 2000)
+        config = RunConfig()
+        assert not config.passes_gate(2, 5, 1500)  # births below 3
+        assert config.passes_gate(5, 5, 1700)
+        assert not config.passes_gate(9, 20, 2000)
 
     def test_alternative_rules(self):
-        either = GatingPolicy(rule="either")
-        assert either.passes(2, 5, 1500)
-        total = GatingPolicy(rule="sum")
-        assert total.passes(2, 1, 1500)
-        assert not total.passes(1, 1, 1500)
+        either = RunConfig(gating_rule="either")
+        assert either.passes_gate(2, 5, 1500)
+        total = RunConfig(gating_rule="sum")
+        assert total.passes_gate(2, 1, 1500)
+        assert not total.passes_gate(1, 1, 1500)
 
 
 @pytest.fixture
@@ -288,7 +288,7 @@ class TestModelReadsRowsByName:
         expected = predict_log10(tpm, fm, fm.row_keys)
         assert np.array_equal(predict_log10(tpm, copy, fm.row_keys), expected)
         with pytest.warns(UserWarning, match="unknown to the model"):
-            assert np.array_equal(en_predict(tpm.model, copy.to_matrix()), expected)
+            assert np.array_equal(en_predict(tpm.model, copy.values, feature_names=copy.columns), expected)
         for a, b in zip(attribute_rows(tpm.model, copy), attribute_rows(tpm.model, fm)):
             assert np.array_equal(a.phi, b.phi)
             assert (a.base, a.prediction) == (b.base, b.prediction)
@@ -301,7 +301,7 @@ class TestModelReadsRowsByName:
         with pytest.raises(ValidationError, match=match):
             predict_log10(tpm, copy, fm.row_keys)
         with pytest.raises(ValidationError, match=match):
-            en_predict(tpm.model, copy.to_matrix())
+            en_predict(tpm.model, copy.values, feature_names=copy.columns)
         with pytest.raises(ValidationError, match=match):
             attribute_rows(tpm.model, copy)
 
@@ -390,7 +390,6 @@ class TestRunFull:
     def test_every_emitted_estimate_passed_its_gate(self, small_world, small_run, small_config):
         from histgdp.features import build_static_features
 
-        policy = GatingPolicy.from_config(small_config)
         statics = {}
         for e in small_run.estimates:
             if e.kind != "estimate":
@@ -398,7 +397,7 @@ class TestRunFull:
             if e.year not in statics:
                 statics[e.year] = build_static_features(e.year, small_world.dataset)
             births, deaths = statics[e.year].gate_counts(e.location_id)
-            assert policy.passes(births, deaths, e.year)
+            assert small_config.passes_gate(births, deaths, e.year)
 
     def test_rescale_audit_clean(self, small_run):
         audit = small_run.report["rescale_audit"]
@@ -436,6 +435,37 @@ class TestRunFull:
         }
         assert provs <= {"source", "model", "country_source", "country_model", "supra_mean"}
         assert provs
+
+    def test_country_bootstrap_unit(self, small_world, monkeypatch):
+        # every replicate draws whole countries: each training row enters as
+        # often as its country was drawn, and the draws number the countries
+        clusters, replicates = [], []
+
+        def recording_ci(*args, **kwargs):
+            clusters.append(np.asarray(kwargs["clusters"]))
+            return bootstrap_ci(*args, **kwargs)
+
+        def recording_fit(x, y, weights, *args, **kwargs):
+            replicates.append((clusters[-1], np.asarray(weights)))
+            return fit_centered(x, y, weights, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "bootstrap_ci", recording_ci)
+        monkeypatch.setattr(pipeline, "fit_centered", recording_fit)
+        result = run_full(small_world.dataset, small_test_config(bootstrap_unit="country"))
+        estimates = [e for e in result.estimates if e.kind == "estimate"]
+        assert estimates
+        for e in estimates:
+            assert all(math.isfinite(v) for v in (e.gdp_pc, e.ci_low, e.ci_high))
+            assert e.ci_low <= e.ci_high
+        assert replicates and len(replicates) == len(clusters)
+        for labels, weights in replicates:
+            countries = sorted(set(labels.tolist()))
+            draws = np.zeros((len(weights), len(countries)))
+            for j, country in enumerate(countries):
+                rows = weights[:, labels == country]
+                assert np.all(rows == rows[:, :1])  # one multiplicity per country
+                draws[:, j] = rows[:, 0]
+            assert np.all(draws.sum(axis=1) == len(countries))
 
 
 class TestWriters:
