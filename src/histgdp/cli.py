@@ -130,14 +130,8 @@ def _load(config):
     )
 
 
-def _outdir(config) -> Path:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_validate(config) -> int:
-    out = _outdir(config)
+    out = Path(config.output_dir)
     try:
         dataset = _load(config)
     except HistGdpError as err:
@@ -160,7 +154,7 @@ def cmd_validate(config) -> int:
 
 
 def cmd_features(config) -> int:
-    out = _outdir(config)
+    out = Path(config.output_dir)
     dataset = _load(config)
     n_written = 0
     for fit in fit_periods(dataset, config, [(dataset.source_levels, config.seed)], {}):
@@ -173,7 +167,7 @@ def cmd_features(config) -> int:
 
 
 def cmd_estimate(config) -> int:
-    out = _outdir(config)
+    out = Path(config.output_dir)
     dataset = _load(config)
     result = run_full(dataset, config)
     write_rejects_report(dataset.rejects, out / "rejects.csv")
@@ -189,7 +183,7 @@ def cmd_estimate(config) -> int:
 
 
 def cmd_evaluate(config) -> int:
-    out = _outdir(config)
+    out = Path(config.output_dir)
     dataset = _load(config)
     dist = evaluate_models(dataset, config)
     write_evaluation_csv(dist, out / "evaluation.csv")
@@ -202,7 +196,7 @@ def cmd_evaluate(config) -> int:
 
 
 def cmd_explain(config) -> int:
-    out = _outdir(config)
+    out = Path(config.output_dir)
     dataset = _load(config)
     results = run_explain(dataset, config)
     for period_id, (attributions, ranking) in sorted(results.items()):
@@ -213,7 +207,7 @@ def cmd_explain(config) -> int:
 
 
 def cmd_correlate(config, args) -> int:
-    out = _outdir(config)
+    out = Path(config.output_dir)
     if config.proxies is None:
         raise InputError("correlate needs --proxies")
     estimates_path = args.estimates or (out / "estimates.csv")

@@ -231,9 +231,17 @@ def read_table(path, header, what):
         yield from enumerate(reader, start=2)
 
 
+def _created(path) -> Path:
+    """``path`` with its directory made, so that a run's output directory
+    appears with its first artifact and a refused run leaves none."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_table(path, header, rows):
     """Write ``header`` and then ``rows`` as a UTF-8 CSV table."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with _created(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -241,7 +249,7 @@ def write_table(path, header, rows):
 
 def write_json(path, doc):
     """Write ``doc`` as indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _created(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def format_float(value: float) -> str:

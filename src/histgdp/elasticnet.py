@@ -27,7 +27,8 @@ padded with identity rows to the largest.  One builder,
 ``Xc' diag(w) Xc``: 0/1 weights give the CV folds' training rows, a row
 of ones the full data, and ``np.bincount`` counts the bootstrap
 resamples.  So :func:`solve_cv` solves every fold x alpha path, plus the
-full-data path, of a whole batch of cross-validations in one call, and
+full-data path, of a whole batch of cross-validations in one call,
+scoring the folds' solutions as the kernel records them, and
 :func:`en_cv` is that batch of one; :func:`fit_centered` is the one fit at a
 fixed (alpha, lambda), and solves all bootstrap replicates of a period in
 one call; and :func:`en_fit` is :func:`fit_centered` on one row of ones.
@@ -56,6 +57,9 @@ _NULL_RTOL = 1e-10
 # A step whose objective rises by more than this (relative) is rejected.
 _OBJECTIVE_SLACK = 1e-12
 _REPAIR_SWEEPS = 3
+# Most recorded solutions a CV fold problem keeps unscored: a fold's path is
+# scored in pieces of this many lambdas and never held whole.
+_SCORE_BURST = 16
 
 
 def _unpack(x, feature_names=None):
@@ -134,16 +138,24 @@ def _null_direction(h, g, l1, tol):
     return v[:, keep] @ (gv[keep] / w[keep]), 1.0
 
 
-def _block_direction(h, g, real, l1, tol):
+def _block_direction(h, g, real, l1, l2, tol):
     """Directions and step lengths toward the optimum of each sign pattern.
 
     ``h`` stacks the active blocks ``G_AA + l2 I``, padded with identity
     rows where ``real`` is false, and ``g`` their KKT residuals (zero on
     the padding, so padding decouples and its direction is zero).  Regular
     blocks take the Newton step ``h^-1 g`` in one batched solve; a
-    singular one takes :func:`_null_direction` on its unpadded part.
+    singular one takes :func:`_null_direction` on its unpadded part.  A
+    block whose shift ``l2`` is well above the singularity threshold is
+    regular without a test: every squared Cholesky pivot is at least the
+    smallest eigenvalue, which is at least ``l2``.
     """
-    regular = _regular(h, real)
+    top = np.where(real, np.diagonal(h, axis1=1, axis2=2), 0.0).max(axis=1)
+    regular = l2 > 1e3 * _NULL_RTOL * top
+    if not regular.any():
+        regular = _regular(h, real)
+    elif not regular.all():
+        regular[~regular] = _regular(h[~regular], real[~regular])
     t = np.ones(len(g))
     if regular.all():
         return np.linalg.solve(h, g[..., None])[..., 0], t
@@ -191,7 +203,7 @@ def _active_step(gram, beta, c, active, signs, l1, l2, tol):
         shift = np.where(real, shift, 1.0)
     diag = np.arange(k)
     h[:, diag, diag] += shift
-    d, t = _block_direction(h, g, real, l1[rows], tol)
+    d, t = _block_direction(h, g, real, l1[rows], l2[rows], tol)
     # padding and smooth problems (zero signs) never cross
     b = beta.take(at)
     toward_zero = signs.take(at) * d < 0.0
@@ -209,7 +221,7 @@ def _active_step(gram, beta, c, active, signs, l1, l2, tol):
     return out
 
 
-def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
+def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps, record=None):
     """Exact active-set elastic net on a stack of independent problems.
 
     ``gram`` ``(S, p, p)`` and ``xty`` ``(S, p)`` are ``S`` Gram systems;
@@ -227,11 +239,14 @@ def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
     objective is replaced by coordinate sweeps.  A problem records its
     solution and moves to its next lambda, warm-started, as soon as its
     largest KKT violation is at most ``tol``; more than ``max_steps``
-    steps at one lambda raise :class:`NumericalError`.
+    steps at one lambda raise :class:`NumericalError`.  At that moment
+    ``record(idx, i, solutions)`` is called: problems ``idx`` (flat,
+    ascending, ``s * A + a``) reached ``solutions`` (rows) at lambdas ``i``.
 
-    Returns ``(path, steps, violations)``: the solutions ``(S, A, L, p)``,
-    the steps taken at each lambda ``(S, A, L)``, and each solution's
-    largest KKT violation ``(S, A, L)``, its certificate.
+    Returns ``(path, steps, violations)``: the solutions ``(S, A, L, p)``
+    (None when ``record`` is given, which then keeps what it needs), the
+    steps taken at each lambda ``(S, A, L)``, and each solution's largest
+    KKT violation ``(S, A, L)``, its certificate.
     """
     gram = np.ascontiguousarray(gram, dtype=float)
     n_sys, p = xty.shape
@@ -244,7 +259,13 @@ def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
     if beta0 is not None:
         beta[...] = beta0
     beta = beta.reshape(n, p)
-    path = np.empty((n, n_lam, p))
+    path = None
+    if record is None:
+        path = np.empty((n, n_lam, p))
+
+        def record(idx, i, solutions):
+            path[idx, i] = solutions
+
     cert = np.empty((n, n_lam))
     steps = np.empty((n, n_lam), dtype=int)
     pos = np.zeros(n, dtype=int)
@@ -274,7 +295,7 @@ def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
             # record, then move to the next lambda and check it afresh
             idx = np.flatnonzero(done)
             i = pos[idx]
-            path[idx, i] = beta[idx]
+            record(idx, i, beta[idx])
             cert[idx, i] = violation[idx]
             steps[idx, i] = here[idx]
             here[idx] = 0
@@ -283,7 +304,9 @@ def _solve_stack(gram, xty, alphas, lams, beta0, tol, max_steps):
             running[idx[~more]] = False
             if not running.any():
                 shape = (n_sys, n_alpha, n_lam)
-                return path.reshape(shape + (p,)), steps.reshape(shape), cert.reshape(shape)
+                if path is not None:
+                    path = path.reshape(shape + (p,))
+                return path, steps.reshape(shape), cert.reshape(shape)
             idx, i = idx[more], i[more]
             lam = lams[idx, i]
             l1[idx] = lam * alpha[idx] / 2.0
@@ -646,61 +669,101 @@ def solve_cv(designs, tol: float = DEFAULT_TOL) -> list:
 
     Each design gives one centred Gram system per fold (its training rows
     as 0/1 multiplicity weights) and one for the full data, built straight
-    into one stack; the full-data system is built by the call that
-    :func:`en_fit` makes, so it equals the final fit's system bit for bit.
-    Designs narrower than the widest are padded with zero columns, which
-    never enter an active set.  Every system keeps its design's lambda
-    paths, and one :func:`_solve_stack` call solves every system's path
-    over every alpha, warm-started from the previous lambda.
-    The designs share one alpha grid and path length (one config's).  A
-    :class:`NumericalError` of the stacked solve is retried design by
-    design, so it fails only the designs that fail alone.  Returns, per
-    design, its :class:`CvResult` or the :class:`NumericalError` it
-    raised.
+    into one stack: every design's folds first, then every design's
+    full-data system, built by the call that :func:`en_fit` makes, so it
+    equals the final fit's system bit for bit.  Designs narrower than the
+    widest are padded with zero columns, which never enter an active set.
+    Every system keeps its design's lambda paths, and one
+    :func:`_solve_stack` call solves every system's path over every alpha,
+    warm-started from the previous lambda.  The folds' solutions are scored
+    on their validation rows during the solve, at most ``_SCORE_BURST``
+    lambdas of each at a time, so only the full-data paths and the folds'
+    validation MSEs outlive it.  The designs share one
+    alpha grid and path length (one config's).  A :class:`NumericalError`
+    of the stacked solve is retried design by design, so it fails only the
+    designs that fail alone.  Returns, per design, its :class:`CvResult` or
+    the :class:`NumericalError` it raised.
     """
     if not designs:
         return []
     alphas, n_lambda = designs[0].alphas, designs[0].lams.shape[1]
-    sizes = [len(d.folds) + 1 for d in designs]
-    starts = np.cumsum([0] + sizes)
+    n_alpha, n_designs = len(alphas), len(designs)
+    starts = np.cumsum([0] + [len(d.folds) for d in designs])
+    n_folds = starts[-1]
     p = max(d.x.shape[1] for d in designs)
-    gram = np.zeros((starts[-1], p, p))
-    xty = np.zeros((starts[-1], p))
-    lams = np.empty((starts[-1], len(alphas), n_lambda))
-    centres = []
-    for d, a, b in zip(designs, starts, starts[1:]):
+    gram = np.zeros((n_folds + n_designs, p, p))
+    xty = np.zeros((n_folds + n_designs, p))
+    lams = np.empty((n_folds + n_designs, n_alpha, n_lambda))
+    folds = []  # per fold system: its design, validation rows and centre
+    for j, (d, a, b) in enumerate(zip(designs, starts, starts[1:])):
         n, w = d.x.shape
-        weights = np.ones((b - a - 1, n))
+        weights = np.ones((b - a, n))
         for f, val_idx in enumerate(d.folds):
             weights[f, val_idx] = 0.0
-        centres.append(
-            _centered_systems(d.x, d.y, weights, (gram[a:b - 1, :w, :w], xty[a:b - 1, :w]))[2:]
-        )
-        # the full data last, by en_fit's own call: the same system bit for bit
-        _centered_systems(d.x, d.y, np.ones((1, n)), (gram[b - 1:b, :w, :w], xty[b - 1:b, :w]))
-        lams[a:b] = d.lams
+        col_means, y_means = _centered_systems(
+            d.x, d.y, weights, (gram[a:b, :w, :w], xty[a:b, :w])
+        )[2:]
+        folds.extend(zip([d] * (b - a), d.folds, col_means, y_means))
+        full = n_folds + j  # by en_fit's own call: the same system bit for bit
+        _centered_systems(d.x, d.y, np.ones((1, n)), (gram[full:full + 1, :w, :w],
+                                                      xty[full:full + 1, :w]))
+        lams[a:b] = lams[full] = d.lams
+    n_fold_problems = n_folds * n_alpha  # flat problem s * A + a: the folds' first
+    full_paths = np.empty((n_designs * n_alpha, n_lambda, p))
+    mses = np.empty((n_fold_problems, n_lambda))
+    # a fold problem's solutions, recorded in lambda order, wait, at most
+    # ``burst`` of them, until one problem's are full; then all waiting
+    # ones are scored together
+    burst = min(n_lambda, _SCORE_BURST)
+    waiting = np.zeros((n_fold_problems, burst, p))
+    n_waiting = np.zeros(n_fold_problems, dtype=int)
+    n_scored = np.zeros(n_fold_problems, dtype=int)
+
+    def score_waiting():
+        filled = np.arange(burst) < n_waiting[:, None]
+        for s, (d, val_idx, col_means, y_mean) in enumerate(folds):
+            rows = slice(s * n_alpha, (s + 1) * n_alpha)
+            w = d.x.shape[1]
+            pred = y_mean + waiting[rows, :, :w].reshape(-1, w) @ (d.x[val_idx] - col_means).T
+            scores = np.mean((pred - d.y[val_idx]) ** 2, axis=1).reshape(n_alpha, burst)
+            a, slot = np.nonzero(filled[rows])
+            problem = s * n_alpha + a
+            mses[problem, n_scored[problem] + slot] = scores[a, slot]
+        n_scored[:] += n_waiting
+        n_waiting[:] = 0
+
+    def record(idx, i, solutions):
+        cut = np.searchsorted(idx, n_fold_problems)
+        full_paths[idx[cut:] - n_fold_problems, i[cut:]] = solutions[cut:]
+        if cut:
+            fold = idx[:cut]
+            if n_waiting[fold].max() == burst:
+                score_waiting()
+            slot = n_waiting[fold]
+            waiting[fold, slot] = solutions[:cut]
+            n_waiting[fold] = slot + 1
+
     try:
-        path, steps, cert = _solve_stack(gram, xty, alphas, lams, None, tol, DEFAULT_MAX_STEPS)
+        _, steps, cert = _solve_stack(gram, xty, alphas, lams, None, tol, DEFAULT_MAX_STEPS, record)
     except NumericalError as err:
         if len(designs) == 1:
             return [err]
         return [result for d in designs for result in solve_cv([d], tol)]
+    score_waiting()
+    mses = mses.reshape(n_folds, n_alpha * n_lambda)
+    full_paths = full_paths.reshape(n_designs, n_alpha, n_lambda, p)
     return [
-        _score_cv(d, path[a:b, ..., : d.x.shape[1]], steps[a:b], cert[a:b], *centre)
-        for d, a, b, centre in zip(designs, starts, starts[1:], centres)
+        _score_cv(d, mses[a:b], full_paths[j, ..., : d.x.shape[1]], steps[n_folds + j],
+                  max(cert[a:b].max(), cert[n_folds + j].max()))
+        for j, (d, a, b) in enumerate(zip(designs, starts, starts[1:]))
     ]
 
 
-def _score_cv(design: CvDesign, path, steps, cert, col_means, y_means) -> CvResult:
-    """The CV surface of one design from its solved systems: the folds'
-    paths first, the full-data path last."""
-    values, yv, lams = design.x, design.y, design.lams
-    k = len(design.folds)
-    n_cells = lams.size
-    fold_mses = np.empty((k, n_cells))
-    for f, val_idx in enumerate(design.folds):
-        pred = y_means[f] + path[f].reshape(n_cells, -1) @ (values[val_idx] - col_means[f]).T
-        fold_mses[f] = np.mean((pred - yv[val_idx]) ** 2, axis=1)
+def _score_cv(design: CvDesign, fold_mses, path, steps, kkt_violation) -> CvResult:
+    """The CV surface of one design from its solve: the folds' validation
+    MSEs ``(k, A * L)``, the full-data path ``(A, L, p)`` with its steps
+    ``(A, L)``, and the largest KKT violation of all its systems."""
+    lams = design.lams
     cell_alphas = np.repeat(np.array(design.alphas, dtype=float), lams.shape[1])
     cell_lambdas = lams.ravel()
     cell_mean = fold_mses.mean(axis=0)
@@ -725,8 +788,8 @@ def _score_cv(design: CvDesign, path, steps, cert, col_means, y_means) -> CvResu
         chosen_alpha = float(cell_alphas[j])
         chosen_lambda = float(cell_lambdas[j])
         a, i = divmod(j, lams.shape[1])
-        chosen_coefficients = path[k, a, i].copy()
-        chosen_steps = int(steps[k, a, : i + 1].sum())
+        chosen_coefficients = path[a, i].copy()
+        chosen_steps = int(steps[a, : i + 1].sum())
 
     return CvResult(
         alphas=cell_alphas,
@@ -737,7 +800,7 @@ def _score_cv(design: CvDesign, path, steps, cert, col_means, y_means) -> CvResu
         chosen_lambda=chosen_lambda,
         fold_choices=tuple(fold_choices),
         selection_rule=design.selection_rule,
-        kkt_violation=float(cert.max()),
+        kkt_violation=float(kkt_violation),
         chosen_coefficients=chosen_coefficients,
         chosen_steps=chosen_steps,
     )

@@ -36,10 +36,11 @@ from .rng import child_seed
 
 MIN_COUNTRIES = 5
 MIN_TEST_ROWS = 5
-# Byte budget of one batch of splits' stacked CV systems (Grams and
-# paths): 4 splits of the benchmark's evaluate config, 1 at the paper's
-# 11 alphas x 100 lambdas x 10 folds, where one split's paths take 7.9 MB.
-BATCH_BYTES = 5 << 18
+# Byte budget of what one batch of splits holds per period through its
+# stacked CV solve (see split_batch_size): 9 splits of the benchmark's
+# evaluate config, so 16 run as 2 batches of 8, and 1 at the paper's 11
+# alphas x 100 lambdas x 10 folds, where one split holds 1.3 MB.
+BATCH_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -282,16 +283,27 @@ def evaluate_batch(dataset: Dataset, config: RunConfig, statics: dict, split_ind
 
 
 def split_batch_size(config: RunConfig, width: int) -> int:
-    """How many splits :func:`evaluate_models` advances together: as many
-    as keep their stacked CV systems within ``BATCH_BYTES``, at least one.
+    """The most splits :func:`evaluate_models` advances together: as many
+    as keep what their stacked CV solve holds within ``BATCH_BYTES``, at
+    least one.
 
     Per split and period that is ``k + 1`` Gram systems of ``width``
-    columns, ``(k + 1) * width**2`` floats, and their paths over every
-    alpha and lambda, ``(k + 1) * A * L * width`` floats.
+    columns, ``(k + 1) * width**2`` floats, and the full-data path over
+    every alpha and lambda, ``A * L * width`` floats.  The folds' paths
+    are left out: they are scored as they are solved, at most
+    ``elasticnet._SCORE_BURST`` lambdas of each at a time, and never kept.
     """
     systems = config.k_folds + 1
     paths = len(config.alpha_grid) * config.n_lambda
-    return max(1, BATCH_BYTES // (8 * systems * width * (width + paths)))
+    return max(1, BATCH_BYTES // (8 * width * (systems * width + paths)))
+
+
+def split_batches(config: RunConfig, width: int, n_splits: int) -> list:
+    """Split indices ``0 .. n_splits - 1`` cut into the fewest batches of
+    at most :func:`split_batch_size`, as equal in size as they can be."""
+    n_batches = -(-n_splits // split_batch_size(config, width))
+    bounds = [n_splits * b // n_batches for b in range(n_batches + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def evaluate_models(
@@ -303,7 +315,7 @@ def evaluate_models(
 ) -> PerformanceDistribution:
     """Repeat the country-held-out protocol over independently seeded splits.
 
-    The splits run in batches of :func:`split_batch_size` through
+    The splits run in the batches of :func:`split_batches` through
     :func:`evaluate_batch`.  Each split's result is independent of the
     batch it ran in, up to the rounding of the stacked solve.  A split
     that raises a :class:`HistGdpError` is recorded as failed with its
@@ -327,10 +339,8 @@ def evaluate_models(
     statics = build_statics(dataset, config, years, {} if statics is None else statics)
     # the design's widest: every feature column plus the lag column
     width = 1 + max((len(statics[y].matrix.columns) for y in years), default=0)
-    size = split_batch_size(config, width)
     splits = []
-    for start in range(0, n_splits, size):
-        indices = range(start, min(start + size, n_splits))
+    for indices in split_batches(config, width, n_splits):
         splits.extend(evaluate_batch(dataset, config, statics, indices, master_seed))
     return summarize_performance(splits)
 

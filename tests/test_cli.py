@@ -194,7 +194,7 @@ class TestEvaluate:
         ])
         assert code == 1
         assert "need at least 5 countries to hold out, got 4" in capsys.readouterr().err
-        assert not (out / "evaluation.csv").exists()
+        assert not out.exists()  # a refused run leaves no output directory behind
 
 
 class TestSettingsEverySplitRejects:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -631,11 +633,11 @@ class TestCvCertificate:
             en_fit(x, y, result.chosen_alpha, result.chosen_lambda,
                    warm_start=result.chosen_coefficients)
         cv_gram, cv_xty = stacks[0]
-        ends = np.cumsum([len(d.folds) + 1 for d in designs]) - 1
-        for (x, _), end, (fit_gram, fit_xty) in zip(problems, ends, stacks[1:]):
+        n_folds = sum(len(d.folds) for d in designs)  # the full-data systems follow
+        for j, ((x, _), (fit_gram, fit_xty)) in enumerate(zip(problems, stacks[1:])):
             p = x.shape[1]
-            assert cv_gram[end, :p, :p].tobytes() == fit_gram[0].tobytes()
-            assert cv_xty[end, :p].tobytes() == fit_xty[0].tobytes()
+            assert cv_gram[n_folds + j, :p, :p].tobytes() == fit_gram[0].tobytes()
+            assert cv_xty[n_folds + j, :p].tobytes() == fit_xty[0].tobytes()
 
     def test_batch_equals_each_design_alone(self):
         # designs of different widths and lengths share one stacked solve;
@@ -682,3 +684,112 @@ class TestCvCertificate:
         res = en_cv(x, y, alpha_grid=(0.5, 1.0), k=4, seed=4, n_lambda=8,
                     selection_rule="fold_average")
         assert res.chosen_coefficients is None and res.chosen_steps == 0
+
+
+class TestFoldScoring:
+    def _reference(self, designs, monkeypatch):
+        """The CV surfaces scored the old way: ``_solve_stack``'s whole path
+        on solve_cv's own stack, each fold's rows predicted afterwards."""
+        stacks = []
+        real = elasticnet._solve_stack
+
+        def spy(gram, xty, alphas, lams, *args):
+            stacks.append((gram.copy(), xty.copy(), alphas, lams.copy()))
+            return real(gram, xty, alphas, lams, *args)
+
+        scored = []
+        score_cv = elasticnet._score_cv
+
+        def scores(design, fold_mses, *args):
+            scored.append(fold_mses.copy())
+            return score_cv(design, fold_mses, *args)
+
+        monkeypatch.setattr(elasticnet, "_solve_stack", spy)
+        monkeypatch.setattr(elasticnet, "_score_cv", scores)
+        results = elasticnet.solve_cv(designs)
+        (gram, xty, alphas, lams), = stacks
+        path, steps, _ = real(gram, xty, alphas, lams, None, elasticnet.DEFAULT_TOL, 10_000)
+        start, full = 0, sum(len(d.folds) for d in designs)  # the folds first
+        references = []
+        for d in designs:
+            n, w = d.x.shape
+            k = len(d.folds)
+            weights = np.ones((k, n))
+            for f, val_idx in enumerate(d.folds):
+                weights[f, val_idx] = 0.0
+            _, _, col_means, y_means = elasticnet._centered_systems(d.x, d.y, weights)
+            fold_mses = np.empty((k, d.lams.size))
+            for f, val_idx in enumerate(d.folds):
+                cells = path[start + f, ..., :w].reshape(d.lams.size, w)
+                pred = y_means[f] + cells @ (d.x[val_idx] - col_means[f]).T
+                fold_mses[f] = np.mean((pred - d.y[val_idx]) ** 2, axis=1)
+            references.append((fold_mses, path[full, ..., :w], steps[full]))
+            start, full = start + k, full + 1
+        return results, scored, references
+
+    @pytest.mark.parametrize("burst", [3, 16])
+    def test_in_solve_scores_equal_scoring_the_full_path(self, burst, monkeypatch):
+        # three designs of different widths and row counts share one stack,
+        # the narrower padded with zero columns; at a burst of 3 the folds'
+        # solutions are scored in several pieces during the solve
+        monkeypatch.setattr(elasticnet, "_SCORE_BURST", burst)
+        problems = [_standardized_problem(80 + s, n=n, p=p) for s, (n, p) in
+                    enumerate([(61, 9), (44, 5), (73, 7)])]
+        designs = [elasticnet.cv_design(x, y, alpha_grid=(0.0, 0.5, 1.0), k=4, seed=s,
+                                        n_lambda=10, lambda_ratio=1e-2)
+                   for s, (x, y) in enumerate(problems)]
+        results, scored, references = self._reference(designs, monkeypatch)
+        for d, got, mses, (fold_mses, full_path, full_steps) in zip(
+            designs, results, scored, references
+        ):
+            cells = d.lams.shape[1]
+            np.testing.assert_array_max_ulp(mses, fold_mses, maxulp=1)
+            best = [int(np.lexsort((-got.alphas, -got.lambdas, fm))[0]) for fm in fold_mses]
+            assert got.fold_choices == tuple(
+                (float(got.alphas[j]), float(got.lambdas[j])) for j in best
+            )
+            j = int(np.lexsort((-got.alphas, -got.lambdas, fold_mses.mean(axis=0)))[0])
+            assert (got.chosen_alpha, got.chosen_lambda) == (got.alphas[j], got.lambdas[j])
+            a, i = divmod(j, cells)
+            assert got.chosen_coefficients.tobytes() == full_path[a, i].tobytes()
+            assert got.chosen_steps == full_steps[a, : i + 1].sum()
+
+    def test_fold_paths_are_never_allocated(self):
+        # at the paper's 11 alphas x 100 lambdas x 10 folds, the folds' paths
+        # would be one (S * A, L, p) array; the whole call stays below it
+        x, y = _standardized_problem(90, n=60, p=20)
+        design = elasticnet.cv_design(x, y, k=10, seed=0, n_lambda=100, lambda_ratio=1e-2)
+        systems, alphas, lambdas = 11, len(design.alphas), design.lams.shape[1]
+        fold_paths_bytes = systems * alphas * lambdas * x.shape[1] * 8
+        tracemalloc.start()
+        try:
+            (result,) = elasticnet.solve_cv([design])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alphas == 11 and result.kkt_violation <= elasticnet.DEFAULT_TOL
+        assert peak < fold_paths_bytes, (peak, fold_paths_bytes)
+
+
+def test_ridge_shift_certifies_a_block_without_cholesky(monkeypatch):
+    # two copies of one singular block (a duplicated column): shifted by
+    # l2 = 1 (alpha < 1) it is regular by the shift alone; unshifted
+    # (alpha = 1) it must still be tested
+    x, _ = _standardized_problem(91, n=30, p=3)
+    x = np.hstack([x, x[:, :1]])
+    gram = x.T @ x
+    h = np.stack([gram + np.eye(4), gram])
+    g = np.array([[0.5, -0.2, 0.1, 0.3], [0.4, 0.1, -0.3, 0.2]])
+    real = np.ones((2, 4), dtype=bool)
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        factored.append(a.copy())
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    d, t = elasticnet._block_direction(h, g, real, np.array([0.0, 0.5]),
+                                       np.array([1.0, 0.0]), elasticnet.DEFAULT_TOL)
+    assert len(factored) == 1 and factored[0].tobytes() == h[1:].tobytes()
+    assert np.allclose(h[0] @ d[0], g[0]) and t[0] == 1.0

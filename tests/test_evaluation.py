@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from histgdp.config import RunConfig
 from histgdp.data_ingest import Dataset, Location, LocationTable
 from histgdp import elasticnet, evaluation, pipeline
 from histgdp.errors import NumericalError, ValidationError
@@ -186,7 +187,8 @@ class TestEvaluateModels:
         for rule in ("min_mean", "fold_average"):
             config = small_test_config(n_splits=3, cv_selection_rule=rule)
             batches, written = [], []
-            for budget in (1, 1 << 30):  # one split per batch, then all three together
+            # one split per batch, the default budget, then all three together
+            for budget in (1, evaluation.BATCH_BYTES, 1 << 30):
                 monkeypatch.setattr(evaluation, "BATCH_BYTES", budget)
                 dist = evaluate_models(small_world.dataset, config, master_seed=2)
                 batches.append(dist.splits)
@@ -195,15 +197,35 @@ class TestEvaluateModels:
                 write_evaluation_csv(dist, table)
                 write_evaluation_summary(dist, summary)
                 written.append((table.read_bytes(), summary.read_bytes()))
-            for one, three in zip(*batches):
-                assert one.failed is None and three.failed is None
-                for name in ("r2_baseline", "r2_full", "mae_baseline", "mae_full"):
-                    assert getattr(three, name) == pytest.approx(getattr(one, name), rel=1e-9)
-                assert three.per_period_mae_full == pytest.approx(
-                    one.per_period_mae_full, rel=1e-9
-                )
+            for one, *others in zip(*batches):
+                for other in others:
+                    assert one.failed is None and other.failed is None
+                    for name in ("r2_baseline", "r2_full", "mae_baseline", "mae_full"):
+                        assert getattr(other, name) == pytest.approx(getattr(one, name), rel=1e-9)
+                    assert other.per_period_mae_full == pytest.approx(
+                        one.per_period_mae_full, rel=1e-9
+                    )
             # the written files are the same bytes at any batch size
-            assert written[0] == written[1], rule
+            assert written[0] == written[1] == written[2], rule
+
+    def test_evaluate_config_runs_sixteen_splits_as_two_batches_of_eight(self):
+        # small_test_config is the benchmark's evaluate config, whose designs
+        # are 82 columns wide
+        batches = evaluation.split_batches(small_test_config(), 82, 16)
+        assert batches == [range(0, 8), range(8, 16)]
+
+    def test_paper_grid_runs_one_split_per_batch(self):
+        # 11 Gram systems and an 11 x 100 full-data path: 1.3 MB per split
+        assert evaluation.split_batch_size(RunConfig(), 82) == 1
+        assert evaluation.split_batches(RunConfig(), 82, 3) == [range(0, 1), range(1, 2),
+                                                                range(2, 3)]
+
+    def test_batches_are_the_fewest_and_equal_up_to_one(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "split_batch_size", lambda config, width: 4)
+        assert evaluation.split_batches(small_test_config(), 82, 10) == [
+            range(0, 3), range(3, 6), range(6, 10)
+        ]
+        assert evaluation.split_batches(small_test_config(), 82, 4) == [range(0, 4)]
 
     def test_no_leakage_between_train_and_test(self, small_world):
         # the explicit check inside run_single_split guards this; here we
