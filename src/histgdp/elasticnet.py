@@ -189,8 +189,8 @@ def _active_step(gram, beta, c, active, signs, l1, l2, tol):
     cols = np.argsort(~active[rows], axis=1, kind="stable")[:, :k]  # active coordinates first
     real = np.arange(k) < size[:, None]
     at = rows[:, None] * p + cols  # flat positions in (n, p) arrays
-    block_rows = ((rows // (n // len(gram))) * (p * p))[:, None] + cols * p  # flat, in gram
-    h = gram.reshape(-1).take(block_rows[:, :, None] + cols[:, None, :])
+    block_rows = (rows // (n // len(gram)))[:, None] * p + cols  # rows of gram as (S * p, p)
+    h = gram.reshape(-1, p)[block_rows[:, :, None], cols[:, None, :]]  # no (B, k, k) index
     g = c.take(at) - l1[rows][:, None] * signs.take(at)
     shift = l2[rows][:, None]
     if not real.all():

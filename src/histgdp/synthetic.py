@@ -12,6 +12,7 @@ benchmark experiments without any external data.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,19 @@ DEFAULT_TRUE_COEFFICIENTS = {
     "deaths.occ07": -0.35,
     "immigrants.total": 0.40,
 }
+
+
+def choice_table(weights: np.ndarray) -> list:
+    """The table that ``Generator.choice(len(weights), p=weights)`` searches.
+
+    ``bisect_right(choice_table(weights), rng.random())`` draws the index
+    that call would draw, from the same single uniform: ``choice`` takes
+    the cumulative sum of ``weights`` over its last entry and returns its
+    right-side ``searchsorted`` of one ``random()``.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 @dataclass
@@ -69,13 +83,34 @@ def make_synthetic_world(
     regions exist, individuals are located at region level so both
     hierarchy levels carry features.  ``label_fraction`` controls what
     share of region rows receive GDP observations (countries are always
-    fully labeled so the lag chain is dense).
+    fully labeled so the lag chain is dense).  The order of the random
+    draws is fixed, so a seed gives the same world byte for byte.  An
+    argument out of range raises :class:`ValidationError` naming it before
+    anything is drawn.
     """
+    for name, value, ok, need in (
+        ("n_countries", n_countries, n_countries >= 1, "at least 1"),
+        ("n_occupations", n_occupations, n_occupations >= 1, "at least 1"),
+        ("n_regions_per_country", n_regions_per_country, n_regions_per_country >= 0, "at least 0"),
+        ("n_supra", n_supra, n_supra >= 1, "at least 1"),
+        ("noise_sd", noise_sd, noise_sd >= 0, "at least 0"),
+        ("label_fraction", label_fraction, 0 <= label_fraction <= 1, "in [0, 1]"),
+        ("migration_rate", migration_rate, 0 <= migration_rate <= 1, "in [0, 1]"),
+    ):
+        if not ok:
+            raise ValidationError(f"make_synthetic_world: {name} must be {need}, got {value!r}")
     if true_coefficients is None:
         true_coefficients = dict(DEFAULT_TRUE_COEFFICIENTS)
     periods = tuple(p for p in PERIODS if p.period_id in set(period_ids))
     if len(periods) != len(period_ids):
         raise ValidationError(f"unknown period ids in {period_ids}")
+    snapshots = sorted({y for p in periods for y in p.snapshots})
+    for p in periods:
+        if p.prev_end is not None and p.prev_end not in snapshots:
+            raise ValidationError(
+                f"period '{p.period_id}' needs its predecessor, whose last year {p.prev_end} "
+                "gives its lag"
+            )
     occupations = [f"occ{k:02d}" for k in range(n_occupations)]
     for name in true_coefficients:
         stem = name.split(".", 1)[1]
@@ -98,7 +133,6 @@ def make_synthetic_world(
             person_locations.append(cid)
     locations = LocationTable(entries)
 
-    snapshots = sorted({y for p in periods for y in p.snapshots})
     first_birth = snapshots[0] - window_years
     last_birth = snapshots[-1]
 
@@ -110,22 +144,29 @@ def make_synthetic_world(
     mix = rng.gamma(0.5, size=(len(person_locations), n_occupations))
     mix /= mix.sum(axis=1, keepdims=True)
 
+    # The draw order below is fixed (tests pin the worlds it gives): per
+    # person, birth year, lifespan, occupation, migration, death location
+    # (migrants only), page views and language editions.
     records = []
     pid = 0
+    can_migrate = len(person_locations) > 1
     for li, lid in enumerate(person_locations):
+        occupation_table = choice_table(mix[li])
+        if can_migrate:
+            weights = attraction.copy()
+            weights[li] = 0.0
+            death_table = choice_table(weights / weights.sum())
         for bucket_start in range(first_birth, last_birth, 50):
             n_people = rng.poisson(intensity[li])
             for _ in range(n_people):
                 birth_year = int(rng.integers(bucket_start, bucket_start + 50))
                 if not first_birth <= birth_year <= last_birth:
                     continue
-                lifespan = int(np.clip(rng.normal(65, 12), 20, 95))
-                occupation = occupations[int(rng.choice(n_occupations, p=mix[li]))]
-                if rng.random() < migration_rate and len(person_locations) > 1:
-                    weights = attraction.copy()
-                    weights[li] = 0.0
-                    weights /= weights.sum()
-                    death_loc = person_locations[int(rng.choice(len(person_locations), p=weights))]
+                lifespan = int(min(max(rng.normal(65, 12), 20.0), 95.0))
+                occupation = occupations[bisect_right(occupation_table, rng.random())]
+                # drawn even in a one-location world, which keeps the stream
+                if rng.random() < migration_rate and can_migrate:
+                    death_loc = person_locations[bisect_right(death_table, rng.random())]
                 else:
                     death_loc = lid
                 records.append(
@@ -155,21 +196,19 @@ def make_synthetic_world(
     all_location_ids = locations.ids()
     for period in periods:
         for year in period.snapshots:
-            static = build_static_features(year, feature_world, window_years=window_years)
-            fm = static.matrix
-            col = {name: fm.columns.index(name) for name in true_coefficients}
-            for key_index, (lid, _) in enumerate(fm.row_keys):
-                signal = sum(
-                    coef * float(fm.values[key_index, col[name]])
-                    for name, coef in true_coefficients.items()
-                )
-                mean = region_effects[locations.supra_of(lid)] + signal
-                if period.prev_end is None:
-                    mean += base_level
-                else:
-                    mean += lag_coefficient * observed_log[(lid, period.prev_end)]
-                true_log[(lid, year)] = mean
-                observed_log[(lid, year)] = mean + float(rng.normal(0.0, noise_sd))
+            fm = build_static_features(year, feature_world, window_years=window_years).matrix
+            lids = [lid for lid, _ in fm.row_keys]
+            # in true_coefficients order: another order changes the last bits
+            signal = sum(coef * fm.values[:, fm.columns.index(name)]
+                         for name, coef in true_coefficients.items())
+            mean = np.array([region_effects[locations.supra_of(lid)] for lid in lids]) + signal
+            if period.prev_end is None:
+                mean += base_level
+            else:
+                lag = np.array([observed_log[(lid, period.prev_end)] for lid in lids])
+                mean += lag_coefficient * lag
+            true_log.update(zip(fm.row_keys, mean))
+            observed_log.update(zip(fm.row_keys, mean + rng.normal(0.0, noise_sd, size=len(lids))))
 
             for lid in all_location_ids:
                 is_region = locations.get(lid).level == "region"
