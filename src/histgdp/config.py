@@ -91,7 +91,13 @@ class RunConfig:
             raise ValidationError("alpha_grid must not be empty")
         if not all(0.0 <= a <= 1.0 for a in self.alpha_grid):
             raise ValidationError("alpha_grid values must lie in [0, 1]")
-        # settings every period or split would reject, refused before any work
+        # settings every load, period or split would reject, refused before any work
+        if not 0.0 <= self.max_reject_fraction <= 1.0:
+            raise ValidationError(
+                f"max_reject_fraction must lie in [0, 1], got {self.max_reject_fraction}"
+            )
+        if self.window_years < 1:
+            raise ValidationError(f"window_years must be at least 1, got {self.window_years}")
         if self.k_folds < 2:
             raise ValidationError(f"k_folds must be at least 2, got {self.k_folds}")
         if self.n_lambda < 2:

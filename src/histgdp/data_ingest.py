@@ -561,7 +561,11 @@ def load_dataset(
 
     Aborts when more than ``max_reject_fraction`` of a file's rows are
     rejected; otherwise rejects are carried on the dataset for reporting.
+    A fraction outside [0, 1] raises :class:`ValidationError` before any
+    file is read.
     """
+    if not 0.0 <= max_reject_fraction <= 1.0:
+        raise ValidationError(f"max_reject_fraction must lie in [0, 1], got {max_reject_fraction}")
     locations = load_locations(locations_path)
     raw_records, bio_rejects = load_biographies(biographies_path)
     gdp, gdp_rejects = load_gdp(gdp_path, locations)

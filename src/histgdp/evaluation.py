@@ -256,16 +256,12 @@ def evaluate_batch(dataset: Dataset, config: RunConfig, statics: dict, split_ind
     every period's cross-validations of all the splits are one stacked
     solve.  A split whose own stages raise a :class:`HistGdpError` is
     recorded as failed with its reason, and the others go on; any other
-    exception propagates.  Returns the splits' metrics in index order.
+    exception propagates, as does one from :func:`open_split`.  Returns
+    the splits' metrics in index order.
     """
-    splits, failures = [], {}
-    for run, split_index in enumerate(split_indices):
-        try:
-            splits.append(open_split(dataset, config, split_index, master_seed))
-        except HistGdpError as err:
-            splits.append(None)
-            failures[run] = err
-    runs = [({}, 0) if s is None else (s.train_source, s.seed) for s in splits]
+    splits = [open_split(dataset, config, i, master_seed) for i in split_indices]
+    failures: dict = {}
+    runs = [(s.train_source, s.seed) for s in splits]
     for fit in fit_periods(dataset, config, runs, statics, failures):
         try:
             score_period(dataset, splits[fit.run], fit)
@@ -273,12 +269,12 @@ def evaluate_batch(dataset: Dataset, config: RunConfig, statics: dict, split_ind
             failures[fit.run] = err
     return [
         SplitMetrics(
-            split_index=split_index,
-            seed=child_seed(master_seed, "split", split_index),
+            split_index=split.index,
+            seed=split.seed,
             failed=f"{type(failures[run]).__name__}: {failures[run]}",
         )
-        if run in failures else split_metrics(splits[run])
-        for run, split_index in enumerate(split_indices)
+        if run in failures else split_metrics(split)
+        for run, split in enumerate(splits)
     ]
 
 

@@ -66,18 +66,15 @@ def _linear_attributions(model: EnModel, keys, x_std, background) -> list[Attrib
 def shapley_linear_exact(model: EnModel, x_row, background, key=("", 0)) -> Attribution:
     """Exact Shapley values for a linear model on standardized features.
 
-    ``x_row`` is a raw-scale feature mapping (dict) or vector aligned with
-    the model's features; ``background`` is a :class:`FeatureMatrix` that
+    ``x_row`` is a raw-scale feature vector in the order of the model's
+    ``feature_names``; ``background`` is a :class:`FeatureMatrix` that
     supplies the reference distribution (typically the period's training
     rows).
     """
-    if isinstance(x_row, dict):
-        values, names = [list(x_row.values())], list(x_row)
-    else:
-        values, names = np.asarray(x_row, dtype=float)[None], model.feature_names
-        if values.shape != (1, len(names)):
-            raise ValidationError("instance vector length does not match the model")
-    x_std = model.standardize_rows(values, names)
+    values = np.asarray(x_row, dtype=float)[None]
+    if values.shape != (1, len(model.feature_names)):
+        raise ValidationError("instance vector length does not match the model")
+    x_std = model.standardize_rows(values, model.feature_names)
     return _linear_attributions(model, [key], x_std, background)[0]
 
 

@@ -380,19 +380,19 @@ def eci(m) -> EciResult:
     )
 
 
-def svd_factors(counts: CountTensor, flow: str, n_factors: int = N_SVD_FACTORS) -> np.ndarray:
+def svd_factors(counts: CountTensor, flow: str) -> np.ndarray:
     """Leading left-singular-vector coordinates of ``log10(1 + N)``.
 
-    Returns an (L, n_factors) array; factors beyond the numerical rank are
-    zero-filled.
+    Returns an (L, ``N_SVD_FACTORS``) array; factors beyond the numerical
+    rank are zero-filled.
     """
     n = counts.weighted[flow]
-    out = np.zeros((n.shape[0], n_factors))
+    out = np.zeros((n.shape[0], N_SVD_FACTORS))
     if not n.any():
         return out
     dec = svd(np.log10(1.0 + n), name=f"svd_factors[{flow}]")
     rank = int(np.sum(dec.s > 1e-12 * dec.s[0])) if dec.s.size and dec.s[0] > 0 else 0
-    take = min(n_factors, rank)
+    take = min(N_SVD_FACTORS, rank)
     out[:, :take] = dec.u[:, :take]
     return out
 

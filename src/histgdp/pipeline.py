@@ -28,6 +28,7 @@ from .data_ingest import read_table, write_json, write_table
 from .elasticnet import CvResult, EnModel, cv_design, en_cv, en_fit, fit_centered, solve_cv
 from .errors import HistGdpError, NumericalError, ValidationError
 from .features import (
+    INIT_GDP_PROVENANCES,
     NEAR_DEGENERATE_GAP,
     FeatureMatrix,
     attach_initial_gdp,
@@ -185,22 +186,9 @@ def period_design(
     period_features: FeatureMatrix,
     labels: dict,
     config: RunConfig,
-    completed_periods,
 ) -> PeriodDesign:
-    """Check and standardize a period's labeled rows.
-
-    Periods must be processed chronologically (the lag feature depends on
-    everything earlier), so every earlier period has to appear in
-    ``completed_periods``.
-    """
-    for earlier in PERIODS:
-        if earlier.period_id == period.period_id:
-            break
-        if earlier.period_id not in completed_periods:
-            raise ValidationError(
-                f"train_period: '{period.period_id}' requires earlier period "
-                f"'{earlier.period_id}' to be processed first"
-            )
+    """Check and standardize a period's labeled rows (``period_features``
+    already holds the lag column, so no earlier period is read)."""
     labeled_keys = [k for k in period_features.row_keys if k in labels]
     bad_years = {year for _, year in labeled_keys} - set(period.snapshots)
     if bad_years:
@@ -247,13 +235,12 @@ def train_period(
     period_features: FeatureMatrix,
     labels: dict,
     config: RunConfig,
-    completed_periods,
     seed: int,
 ) -> TrainedPeriodModel:
     """Cross-validate at ``seed`` and fit the elastic net on a period's
     labeled rows: :func:`period_design`, :func:`en_cv` and
     :func:`fit_period_model`."""
-    design = period_design(period, period_features, labels, config, completed_periods)
+    design = period_design(period, period_features, labels, config)
     cv = en_cv(design.std.values, design.y, seed=seed, **_cv_settings(config))
     return fit_period_model(design, cv)
 
@@ -401,8 +388,7 @@ class PeriodFit:
     """One fitted period of one run of :func:`fit_periods`.
 
     ``run`` is the run's index in the batch.  ``features`` stacks the
-    period's snapshot years, lag column included; ``statics`` maps each of
-    those years to its label-independent block; ``labels`` are the
+    period's snapshot years, lag column included; ``labels`` are the
     training levels.  ``predictions`` holds the model's log10 value for
     every candidate row that passed the gate, before rescaling, and
     ``gated`` the rows that did not.  ``levels`` holds the same rows after
@@ -415,7 +401,6 @@ class PeriodFit:
     run: int
     period: Period
     features: FeatureMatrix
-    statics: dict
     labels: dict
     model: TrainedPeriodModel
     gated: list
@@ -439,7 +424,8 @@ class _Run:
 
 
 def fit_periods(dataset: Dataset, config: RunConfig, runs, statics: dict, failures=None):
-    """The chronological period loop over a batch of runs.
+    """The chronological period loop over a batch of runs, and the one
+    place that orders the periods.
 
     A run is a ``(source, seed)`` pair; ``source`` is every level the run
     may see: the whole dataset's for ``run_full``, the training countries'
@@ -448,9 +434,10 @@ def fit_periods(dataset: Dataset, config: RunConfig, runs, statics: dict, failur
     :class:`PeriodFit` for every period with a labeled row in its source,
     in run order within a period.
 
-    Features come from the ``statics`` cache (see :func:`build_statics`),
-    stacked once per period; each run appends its lag column, filled from
-    its source and from its earlier periods' rescaled levels.  Period
+    Features come from the ``statics`` cache, filled as the loop goes
+    (see :func:`build_statics`), stacked once per period; each run appends
+    its lag column, filled from its source and from its earlier periods'
+    rescaled levels.  Period
     ``i`` of a run is tuned at ``child_seed(seed, "cv", i)``; the
     cross-validations of every run at one period are one :func:`solve_cv`
     call (a batch of one is :func:`train_period`, whose :func:`en_cv` is
@@ -480,7 +467,6 @@ def _fit_period(dataset, config, index, live, statics, failures):
     each stage run by run, less the runs an earlier stage failed, with one
     CV solve for all."""
     period = PERIODS[index]
-    completed = tuple(p.period_id for p in PERIODS[:index])
 
     def each(stage, items):
         out = {}
@@ -497,14 +483,9 @@ def _fit_period(dataset, config, index, live, statics, failures):
     inputs = each(lambda r, run: _period_inputs(dataset, period, run, block), live)
     seeds = {r: child_seed(live[r].seed, "cv", index) for r in inputs}
     if len(inputs) == 1:
-        models = each(
-            lambda r, item: train_period(
-                period, *item, config, completed_periods=completed, seed=seeds[r]
-            ),
-            inputs,
-        )
+        models = each(lambda r, item: train_period(period, *item, config, seed=seeds[r]), inputs)
     else:
-        designs = each(lambda r, item: period_design(period, *item, config, completed), inputs)
+        designs = each(lambda r, item: period_design(period, *item, config), inputs)
         cvs = each(
             lambda r, d: cv_design(d.std.values, d.y, seed=seeds[r], **_cv_settings(config)),
             designs,
@@ -573,7 +554,6 @@ def _predict_period(dataset, config, period, r, run, fm, labels, tpm, statics) -
         run=r,
         period=period,
         features=fm,
-        statics={year: statics[year] for year in period.snapshots},
         labels=labels,
         model=tpm,
         gated=gated,
@@ -626,9 +606,10 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
     n_skipped_replicates = 0
     n_age_imputed = 0
 
-    for fit in fit_periods(dataset, config, [(source, config.seed)], {}):
+    statics: dict = {}
+    for fit in fit_periods(dataset, config, [(source, config.seed)], statics):
         period, fm, tpm = fit.period, fit.features, fit.model
-        n_age_imputed += sum(len(static.age_imputed) for static in fit.statics.values())
+        n_age_imputed += sum(len(statics[year].age_imputed) for year in period.snapshots)
         gated_keys.extend(fit.gated)
         proxy_weights.update(fit.proxy_weights)
         n_unrescaled_regions += fit.n_unrescaled_regions
@@ -688,7 +669,7 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
             "cv_kkt_violation": tpm.cv.kkt_violation,
             "dropped_constant_columns": len(tpm.dropped_columns),
             "skipped_bootstrap_replicates": skipped,
-            "eci": _eci_report(fit.statics),
+            "eci": _eci_report(statics, period.snapshots),
         }
 
     estimates.sort(key=lambda e: (e.location_id, e.year))
@@ -713,14 +694,14 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
     return RunResult(estimates=estimates, report=report)
 
 
-def _eci_report(statics: dict) -> dict:
-    """A period's ECI certificates: the smallest spectral gap, the largest
-    residual, and the ``[year, level, flow]`` blocks whose relative gap is
-    below ``NEAR_DEGENERATE_GAP``."""
+def _eci_report(statics: dict, years) -> dict:
+    """The ECI certificates of a period's snapshot ``years``: the smallest
+    spectral gap, the largest residual, and the ``[year, level, flow]``
+    blocks whose relative gap is below ``NEAR_DEGENERATE_GAP``."""
     blocks = [
         (year, level, flow, cert)
-        for year, static in statics.items()
-        for (level, flow), cert in static.eci_results.items()
+        for year in years
+        for (level, flow), cert in statics[year].eci_results.items()
     ]
     return {
         "min_gap": min(cert.gap for *_, cert in blocks),
@@ -808,9 +789,9 @@ def read_estimates_csv(path) -> list:
     """Read an estimates.csv back into EstimateRecord rows.
 
     A row with the wrong field count, an unparseable number, a GDP level
-    that is not positive and finite, or a ``kind`` or ``rescaled`` other
-    than :func:`write_estimates_csv` writes raises ValidationError at its
-    line.
+    that is not positive and finite, or a ``kind``, ``rescaled`` or
+    ``init_gdp_provenance`` other than :func:`write_estimates_csv` writes
+    raises ValidationError at its line.
     """
     records = []
     for line, row in read_table(path, ESTIMATES_HEADER, "estimates"):
@@ -826,6 +807,11 @@ def read_estimates_csv(path) -> list:
             raise ValidationError(f"{path}:{line}: kind must be one of {ESTIMATE_KINDS}, got '{kind}'")
         if rescaled not in BOOLEANS:
             raise ValidationError(f"{path}:{line}: rescaled must be true or false, got '{rescaled}'")
+        if provenance and provenance not in INIT_GDP_PROVENANCES:
+            raise ValidationError(
+                f"{path}:{line}: init_gdp_provenance must be empty or one of "
+                f"{INIT_GDP_PROVENANCES}, got '{provenance}'"
+            )
         records.append(
             EstimateRecord(
                 location_id=lid,

@@ -30,6 +30,8 @@ DEFAULT_TRUE_COEFFICIENTS = {
     "deaths.occ07": -0.35,
     "immigrants.total": 0.40,
 }
+LAG_COEFFICIENT = 0.6  # persistence on the previous period's end-year log level
+BASE_LEVEL = 3.0  # its stand-in in the earliest period
 
 
 def choice_table(weights: np.ndarray) -> list:
@@ -70,9 +72,7 @@ def make_synthetic_world(
     n_regions_per_country: int = 0,
     n_supra: int = 4,
     noise_sd: float = 0.05,
-    lag_coefficient: float = 0.6,
     true_coefficients: dict | None = None,
-    base_level: float = 3.0,
     label_fraction: float = 1.0,
     window_years: int = 150,
     migration_rate: float = 0.2,
@@ -83,10 +83,11 @@ def make_synthetic_world(
     regions exist, individuals are located at region level so both
     hierarchy levels carry features.  ``label_fraction`` controls what
     share of region rows receive GDP observations (countries are always
-    fully labeled so the lag chain is dense).  The order of the random
-    draws is fixed, so a seed gives the same world byte for byte.  An
-    argument out of range raises :class:`ValidationError` naming it before
-    anything is drawn.
+    fully labeled so the lag chain is dense).  The persistence term is
+    ``LAG_COEFFICIENT`` times the previous level, ``BASE_LEVEL`` in the
+    earliest period.  The order of the random draws is fixed, so a seed
+    gives the same world byte for byte.  An argument out of range raises
+    :class:`ValidationError` naming it before anything is drawn.
     """
     for name, value, ok, need in (
         ("n_countries", n_countries, n_countries >= 1, "at least 1"),
@@ -203,10 +204,10 @@ def make_synthetic_world(
                          for name, coef in true_coefficients.items())
             mean = np.array([region_effects[locations.supra_of(lid)] for lid in lids]) + signal
             if period.prev_end is None:
-                mean += base_level
+                mean += BASE_LEVEL
             else:
                 lag = np.array([observed_log[(lid, period.prev_end)] for lid in lids])
-                mean += lag_coefficient * lag
+                mean += LAG_COEFFICIENT * lag
             true_log.update(zip(fm.row_keys, mean))
             observed_log.update(zip(fm.row_keys, mean + rng.normal(0.0, noise_sd, size=len(lids))))
 
@@ -225,7 +226,7 @@ def make_synthetic_world(
         observed_log_gdp=observed_log,
         true_coefficients=dict(true_coefficients),
         region_effects=region_effects,
-        lag_coefficient=lag_coefficient,
+        lag_coefficient=LAG_COEFFICIENT,
         noise_sd=noise_sd,
         periods=tuple(p.period_id for p in periods),
     )

@@ -112,6 +112,34 @@ class TestValidate:
         assert err.count("usage") == 1 and "missing required input" in err
         assert not (tmp_path / "rejects.csv").exists()
 
+    def test_negative_reject_fraction_exits_one_without_traceback(self, config_file, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "out"
+        code = run(["validate", "--config", config_file, "--output-dir", out,
+                    "--max-reject-fraction", "-0.1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "max_reject_fraction must lie in [0, 1], got -0.1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestSettingsEveryLoadRejects:
+    # refused before any input is read: the input paths do not exist, which
+    # would exit 3 if they were opened
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-reject-fraction", "1.5", r"max_reject_fraction must lie in \[0, 1\], got 1.5"),
+        ("--window-years", "0", "window_years must be at least 1, got 0"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "features", "estimate", "evaluate"])
+    def test_exits_one_before_reading_inputs(self, tmp_path, capsys, command, flag, value,
+                                             message):
+        missing = tmp_path / "missing.csv"
+        code = run([command, "--biographies", missing, "--locations", missing, "--gdp", missing,
+                    "--output-dir", tmp_path / "out", flag, value])
+        assert code == 1
+        assert re.search(message, capsys.readouterr().err)
+
 
 class TestEstimate:
     def test_outputs_written(self, config_file, tmp_path, capsys):

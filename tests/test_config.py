@@ -96,3 +96,26 @@ def test_readme_config_keys_are_the_fields():
     # drop the parenthesized defaults and choices, keep the key names
     names = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", paragraph))
     assert sorted(names) == sorted(f.name for f in fields(RunConfig))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"max_reject_fraction": -0.1}, r"max_reject_fraction must lie in \[0, 1\], got -0.1"),
+    ({"max_reject_fraction": 1.5}, r"max_reject_fraction must lie in \[0, 1\], got 1.5"),
+    ({"window_years": 0}, "window_years must be at least 1, got 0"),
+    ({"ci_level": 0.0}, r"ci_level must lie in \(0, 1\), got 0.0"),
+    ({"ci_level": 1.0}, r"ci_level must lie in \(0, 1\), got 1.0"),
+    ({"alpha_grid": (0.5, 1.5)}, r"alpha_grid values must lie in \[0, 1\]"),
+    ({"alpha_grid": (-0.1,)}, r"alpha_grid values must lie in \[0, 1\]"),
+    ({"gating_thresholds": ((2000, 5), (1600, 3))}, "positive with ascending year caps"),
+    ({"gating_thresholds": ((1600, 0), (2000, 5))}, "positive with ascending year caps"),
+    ({"gating_thresholds": ((1600, 5), (2000, 3))}, "non-decreasing in year"),
+])
+def test_out_of_range_setting_raises(overrides, message):
+    with pytest.raises(ValidationError, match=message):
+        RunConfig(**overrides)
+
+
+def test_reject_fraction_and_window_accept_their_bounds():
+    for fraction in (0.0, 1.0):
+        assert RunConfig(max_reject_fraction=fraction).max_reject_fraction == fraction
+    assert RunConfig(window_years=1).window_years == 1

@@ -7,8 +7,10 @@ from histgdp.data_ingest import (
     load_dataset,
     load_gdp,
     load_locations,
+    write_rejects_report,
 )
 from histgdp.errors import InputError, ValidationError
+from histgdp.features import build_static_features
 
 BIO_HEADER = "person_id,name,birth_year,death_year,birth_location_id,death_location_id,occupation,pageviews,language_editions\n"
 LOC_HEADER = "location_id,name,level,parent_country_id,supranational_region\n"
@@ -301,6 +303,74 @@ class TestLoadDataset:
                 tmp_path / "locations.csv",
                 tmp_path / "gdp.csv",
             )
+
+    def test_reject_fraction_outside_unit_interval_raises_before_reading(self, tmp_path):
+        missing = tmp_path / "missing.csv"  # an InputError if it were opened
+        for fraction in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValidationError, match=r"max_reject_fraction must lie in \[0, 1\]"):
+                load_dataset(missing, missing, missing, max_reject_fraction=fraction)
+
+    def test_empty_death_year_loads_and_is_left_out_of_avg_age(self, tmp_path):
+        write(
+            tmp_path / "locations.csv",
+            LOC_HEADER + "AT,A,country,,W\nFR,F,country,,W\nPL,P,country,,E\n",
+        )
+        write(
+            tmp_path / "biographies.csv",
+            BIO_HEADER
+            + "p1,X,1500,1560,AT,AT,painter,10,3\n"
+            + "p2,X,1510,,AT,AT,painter,10,3\n"  # living or undated: no lifespan
+            + "p3,X,1520,1590,FR,FR,painter,10,3\n"
+            + "p4,X,1530,,PL,PL,painter,10,3\n",
+        )
+        write(tmp_path / "gdp.csv", GDP_HEADER)
+        ds = load_dataset(
+            tmp_path / "biographies.csv", tmp_path / "locations.csv", tmp_path / "gdp.csv"
+        )
+        assert ds.rejects == [] and len(ds.records) == 4
+        assert ds.by_person["p2"].death_year is None and ds.by_person["p2"].lifespan is None
+        static = build_static_features(1550, ds)
+        fm = static.matrix
+        ages = {key[0]: fm.values[i, fm.columns.index("avg_age")]
+                for i, key in enumerate(fm.row_keys)}
+        # AT's undated member is left out; PL has only an undated one and
+        # takes the mean over the dated members (60 and 70)
+        assert ages == {"AT": 60.0, "FR": 70.0, "PL": 65.0}
+        assert static.age_imputed == ("PL",)
+
+    def test_every_reject_lands_in_rejects_csv_with_its_line(self, tmp_path):
+        write(tmp_path / "locations.csv", LOC_HEADER + "AT,A,country,,W\n")
+        write(
+            tmp_path / "biographies.csv",
+            BIO_HEADER
+            + "p1,X,1500,1560,AT,AT,painter,10,3\n"
+            + "p2,X,1500,1560,AT,AT,painter,10\n"
+            + ",X,1500,1560,AT,AT,painter,10,3\n"
+            + "p4,X,,1560,AT,AT,painter,10,3\n"
+            + "p5,X,1500,1560,AT,AT,painter,-1,3\n"
+            + "p6,X,1500,1560,AT,AT,painter,10,0\n",
+        )
+        write(
+            tmp_path / "gdp.csv",
+            GDP_HEADER + "AT,1500,1000,m\nAT,1550,1000\nAT,1550,abc,m\nXX,1550,1000,m\n",
+        )
+        ds = load_dataset(
+            tmp_path / "biographies.csv", tmp_path / "locations.csv", tmp_path / "gdp.csv",
+            max_reject_fraction=1.0,
+        )
+        assert [r.person_id for r in ds.records] == ["p1"] and len(ds.gdp) == 1
+        write_rejects_report(ds.rejects, tmp_path / "rejects.csv")
+        assert (tmp_path / "rejects.csv").read_text().splitlines() == [
+            "line_number,key,reason",
+            "3,p2,wrong field count",
+            "4,,missing person_id",
+            "5,p4,missing birth_year",
+            "6,p5,missing or negative pageviews",
+            "7,p6,missing or non-positive language_editions",
+            "3,AT,wrong field count",
+            "4,AT,unparseable gdp_pc 'abc'",
+            "5,XX,unknown location",
+        ]
 
 
 def test_write_world_csv_round_trip(tmp_path):

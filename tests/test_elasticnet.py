@@ -793,3 +793,31 @@ def test_ridge_shift_certifies_a_block_without_cholesky(monkeypatch):
                                        np.array([1.0, 0.0]), elasticnet.DEFAULT_TOL)
     assert len(factored) == 1 and factored[0].tobytes() == h[1:].tobytes()
     assert np.allclose(h[0] @ d[0], g[0]) and t[0] == 1.0
+
+
+def test_singular_block_in_range_takes_the_minimum_norm_step(monkeypatch):
+    # a duplicated column warm-started active at one sign in both copies:
+    # the block is singular (its null direction is copy minus copy), but
+    # both copies see the same KKT residual, so the residual and the l1
+    # term lie in the block's range and the step is the minimum-norm solve,
+    # which keeps the copies equal
+    x, y = _standardized_problem(91, n=30, p=3, signal=np.array([0.8, -0.3, 0.0]))
+    twin = np.hstack([x, x[:, :1]])
+    lam = float(lambda_path(x, y, 1.0, n_lambda=10, ratio=1e-2)[4])
+    steps = []
+    real_direction = elasticnet._null_direction
+
+    def recorded(h, g, l1, tol):
+        d, t = real_direction(h, g, l1, tol)
+        steps.append((h.shape[0], l1, d, t))
+        return d, t
+
+    monkeypatch.setattr(elasticnet, "_null_direction", recorded)
+    ones = np.ones((1, len(y)))
+    beta, *_, kkt = fit_centered(twin, y, ones, 1.0, lam, warm_start=[0.2, 0.0, 0.0, 0.2])
+    k, l1, d, t = steps[0]
+    assert (k, t) == (2, 1.0) and l1 > 0.0 and d[0] == pytest.approx(d[1])
+    assert kkt[0] <= elasticnet.DEFAULT_TOL
+    single = fit_centered(x, y, ones, 1.0, lam)[0][0]
+    assert beta[0, 0] == pytest.approx(beta[0, 3]) and beta[0, 0] > 0.0
+    assert np.max(np.abs(twin @ beta[0] - x @ single)) <= 1e-8

@@ -397,3 +397,13 @@ class TestOutputs:
         path.write_text("location_id,year,value\nA,1500,0.35\nB,1600,0.5\n")
         rows = load_proxy_csv(path)
         assert rows == [("A", 1500, 0.35), ("B", 1600, 0.5)]
+
+
+def test_split_with_too_few_usable_test_rows_fails(small_world):
+    # a gate no location-year passes: the held-out rows are all gated, so
+    # the split has nothing to score and fails with its reason, not a metric
+    config = small_test_config(gating_thresholds=((2000, 10**9),))
+    split = run_single_split(small_world.dataset, config, {}, 0, 9)
+    assert split.failed == f"only 0 usable test rows (< {evaluation.MIN_TEST_ROWS})"
+    assert split.n_test_rows == 0 and split.n_gated_test > 0
+    assert split.mae_full is None and split.r2_full is None

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from histgdp.config import RunConfig
-from histgdp.data_ingest import Location, LocationTable
+from histgdp.data_ingest import Dataset, Location, LocationTable
 from histgdp import pipeline
 from histgdp.elasticnet import DEFAULT_TOL, en_predict, fit_centered
 from histgdp.errors import NumericalError, ValidationError
 from histgdp.explain import attribute_rows
-from histgdp.features import attach_initial_gdp, build_static_features
+from histgdp.features import build_static_features
 from histgdp.pipeline import (
     PERIODS,
     SNAPSHOT_YEARS,
@@ -240,26 +240,13 @@ class TestBootstrap:
 
 
 class TestTrainPeriod:
-    def test_out_of_order_rejected(self, small_world, small_config):
-        ds = small_world.dataset
-        fm = attach_initial_gdp(
-            build_static_features(1550, ds).matrix, 1500, ds.source_levels, {}, ds.locations
-        )
-        labels = {
-            k: small_world.dataset.source_levels[k]
-            for k in fm.row_keys
-            if k in small_world.dataset.source_levels
-        }
-        with pytest.raises(ValidationError, match="late_middle_ages"):
-            train_period(PERIODS[1], fm, labels, small_config, completed_periods=(), seed=0)
-
     def test_too_few_rows_suggests_fold_reduction(self, small_world):
         config = small_test_config(k_folds=10)
         fm = build_static_features(1300, small_world.dataset).matrix
         keys = list(fm.row_keys)[:4]
         labels = {k: 1000.0 for k in keys}
         with pytest.raises(ValidationError, match="k_folds"):
-            train_period(PERIODS[0], fm.subset(keys), labels, config, (), seed=0)
+            train_period(PERIODS[0], fm.subset(keys), labels, config, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -467,6 +454,35 @@ class TestRunFull:
                 draws[:, j] = rows[:, 0]
             assert np.all(draws.sum(axis=1) == len(countries))
 
+    def test_region_whose_country_has_no_value_stays_unrescaled(self, small_world,
+                                                                small_config, monkeypatch):
+        # a country without GDP in the second period, whose own row the gate
+        # refuses: its estimated regions have neither a source value nor an
+        # estimate to rescale to.  Gate counts roll regions up into their
+        # country and every gating rule is monotone in them, so no built-in
+        # gate refuses a country whose region it passes; a wrapper does.
+        ds = small_world.dataset
+        country = ds.locations.countries()[0]
+        years = set(PERIODS[1].snapshots)
+        gdp = [o for o in ds.gdp if not (o.location_id == country and o.year in years)]
+        dataset = Dataset(ds.records, ds.locations, gdp)
+        gate = pipeline.predict_gated
+
+        def refuse_country(tpm, fm, keys, gate_counts, config):
+            mine = [k for k in keys if k[0] == country]
+            predictions, gated = gate(tpm, fm, [k for k in keys if k[0] != country],
+                                      gate_counts, config)
+            return predictions, gated + mine
+
+        assert run_full(dataset, small_config).report["counts"]["unrescaled_regions"] == 0
+        monkeypatch.setattr(pipeline, "predict_gated", refuse_country)
+        result = run_full(dataset, small_config)
+        regions = set(ds.locations.regions_of(country))
+        stranded = [e for e in result.estimates
+                    if e.kind == "estimate" and e.location_id in regions and e.year in years]
+        assert stranded and not any(e.rescaled for e in stranded)
+        assert result.report["counts"]["unrescaled_regions"] == len(stranded)
+        assert result.report["rescale_audit"]["violations"] == []
 
 class TestWriters:
     def test_format_float_six_significant(self):
@@ -543,3 +559,22 @@ def test_estimates_csv_round_trip(small_run, tmp_path):
     write_estimates_csv(small_run.estimates, path)
     assert small_run.estimates
     assert read_estimates_csv(path) == [at_six_digits(e) for e in small_run.estimates]
+
+
+def test_estimates_csv_refuses_a_provenance_it_never_writes(tmp_path):
+    from histgdp.features import INIT_GDP_PROVENANCES
+    from histgdp.pipeline import ESTIMATES_HEADER, read_estimates_csv
+
+    path = tmp_path / "estimates.csv"
+    rows = [",".join(ESTIMATES_HEADER), "A,1300,1000,1000,1000,source,false,false,"]
+    rows += [f"B,{1350 + 50 * i},1500,1400,1600,estimate,false,false,{prov}"
+             for i, prov in enumerate(INIT_GDP_PROVENANCES)]
+    path.write_text("\n".join(rows) + "\n")
+    assert [e.init_gdp_provenance for e in read_estimates_csv(path)] == [
+        "", *INIT_GDP_PROVENANCES
+    ]
+    path.write_text("\n".join(rows + ["C,1300,1200,1100,1300,estimate,false,true,modle"]) + "\n")
+    line = len(rows) + 1
+    with pytest.raises(ValidationError, match=rf"{re.escape(str(path))}:{line}: "
+                                              r"init_gdp_provenance .* got 'modle'"):
+        read_estimates_csv(path)
