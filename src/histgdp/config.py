@@ -14,6 +14,8 @@ from .errors import InputError, ValidationError
 
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_GATING_THRESHOLDS = ((1600, 3), (1950, 5), (2000, 10))
+# The year a person's age is counted to for the HPI (features.hpi_weight).
+DEFAULT_REFERENCE_YEAR = 2023
 
 # A location-year passes the gate when its unweighted birth and death
 # counts satisfy the rule's predicate against the year's threshold.
@@ -50,7 +52,7 @@ class RunConfig:
     # feature construction
     window_years: int = 150
     scale: str = "log10p1"
-    reference_year_for_age: int = 2023
+    reference_year_for_age: int = DEFAULT_REFERENCE_YEAR
     min_birth_year: int = 1100
     max_reject_fraction: float = 0.10
     # elastic net

@@ -20,6 +20,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,7 @@ class GdpObservation:
 
 @dataclass(frozen=True)
 class RejectedRow:
+    file: str  # the input table: biographies | gdp
     line_number: int
     key: str
     reason: str
@@ -281,32 +283,33 @@ def load_biographies(path) -> tuple[list[BiographyRecord], list[RejectedRow]]:
     records: list[BiographyRecord] = []
     rejects: list[RejectedRow] = []
     seen: set[str] = set()
+    reject = partial(RejectedRow, "biographies")
     for line, row in read_table(path, BIOGRAPHY_HEADER, "biographies"):
         if len(row) != len(BIOGRAPHY_HEADER):
-            rejects.append(RejectedRow(line, row[0] if row else "", "wrong field count"))
+            rejects.append(reject(line, row[0] if row else "", "wrong field count"))
             continue
         (pid, name, by, dy, bloc, dloc, occ, views, langs) = [c.strip() for c in row]
         if not pid:
-            rejects.append(RejectedRow(line, "", "missing person_id"))
+            rejects.append(reject(line, "", "missing person_id"))
             continue
         if pid in seen:
-            rejects.append(RejectedRow(line, pid, "duplicate person_id"))
+            rejects.append(reject(line, pid, "duplicate person_id"))
             continue
         birth_year = _parse_int(by, "birth_year", path, line)
         death_year = _parse_int(dy, "death_year", path, line)
         pageviews = _parse_int(views, "pageviews", path, line)
         language_editions = _parse_int(langs, "language_editions", path, line)
         if birth_year is None:
-            rejects.append(RejectedRow(line, pid, "missing birth_year"))
+            rejects.append(reject(line, pid, "missing birth_year"))
             continue
         if death_year is not None and death_year < birth_year:
-            rejects.append(RejectedRow(line, pid, "negative lifespan"))
+            rejects.append(reject(line, pid, "negative lifespan"))
             continue
         if pageviews is None or pageviews < 0:
-            rejects.append(RejectedRow(line, pid, "missing or negative pageviews"))
+            rejects.append(reject(line, pid, "missing or negative pageviews"))
             continue
         if language_editions is None or language_editions < 1:
-            rejects.append(RejectedRow(line, pid, "missing or non-positive language_editions"))
+            rejects.append(reject(line, pid, "missing or non-positive language_editions"))
             continue
         seen.add(pid)
         records.append(
@@ -353,31 +356,32 @@ def load_gdp(path, locations: LocationTable) -> tuple[list[GdpObservation], list
     observations: list[GdpObservation] = []
     rejects: list[RejectedRow] = []
     seen: set[tuple[str, int]] = set()
+    reject = partial(RejectedRow, "gdp")
     for line, row in read_table(path, GDP_HEADER, "gdp"):
         if len(row) != len(GDP_HEADER):
-            rejects.append(RejectedRow(line, row[0] if row else "", "wrong field count"))
+            rejects.append(reject(line, row[0] if row else "", "wrong field count"))
             continue
         lid, year_s, gdp_s, source = [c.strip() for c in row]
         year = _parse_int(year_s, "year", path, line)
         if year is None or year not in SNAPSHOT_YEARS:
-            rejects.append(RejectedRow(line, lid, f"year not on the 50-year grid: '{year_s}'"))
+            rejects.append(reject(line, lid, f"year not on the 50-year grid: '{year_s}'"))
             continue
         try:
             gdp = float(gdp_s)
         except ValueError:
-            rejects.append(RejectedRow(line, lid, f"unparseable gdp_pc '{gdp_s}'"))
+            rejects.append(reject(line, lid, f"unparseable gdp_pc '{gdp_s}'"))
             continue
         if not gdp > 0:
-            rejects.append(RejectedRow(line, lid, "non-positive gdp_pc"))
+            rejects.append(reject(line, lid, "non-positive gdp_pc"))
             continue
         if math.isinf(gdp):
-            rejects.append(RejectedRow(line, lid, "infinite gdp_pc"))
+            rejects.append(reject(line, lid, "infinite gdp_pc"))
             continue
         if lid not in locations:
-            rejects.append(RejectedRow(line, lid, "unknown location"))
+            rejects.append(reject(line, lid, "unknown location"))
             continue
         if (lid, year) in seen:
-            rejects.append(RejectedRow(line, lid, f"duplicate observation for year {year}"))
+            rejects.append(reject(line, lid, f"duplicate observation for year {year}"))
             continue
         seen.add((lid, year))
         observations.append(GdpObservation(lid, year, gdp, source))
@@ -460,16 +464,6 @@ def assign_flows(records, locations: LocationTable, snapshot_year: int, window_y
 
 
 @dataclass(frozen=True)
-class RecordWindow:
-    """The HPI inputs of some indexed records, as arrays in index order;
-    ``features.hpi_weight`` reads it element-wise as it reads one record."""
-
-    pageviews: np.ndarray  # float
-    language_editions: np.ndarray  # float
-    birth_year: np.ndarray  # int
-
-
-@dataclass(frozen=True)
 class RecordIndex:
     """Per-record arrays in person-id order, for vectorized feature counts.
 
@@ -477,6 +471,8 @@ class RecordIndex:
     ``location_ids[level]`` by the ``_point_at_level`` rules (a region
     rolls up to its country; a country-only location has no region row),
     or -1 where the endpoint is missing or unresolvable at that level.
+    ``features.hpi_weight`` reads ``pageviews``, ``language_editions`` and
+    ``birth_year`` at a window's rows element-wise.
     """
 
     birth_year: np.ndarray  # int
@@ -487,12 +483,6 @@ class RecordIndex:
     location_ids: dict  # level -> location ids in row order
     birth_row: dict  # level -> int array
     death_row: dict  # level -> int array
-
-    def window(self, rows: np.ndarray) -> RecordWindow:
-        """The HPI inputs of the records at ``rows``."""
-        return RecordWindow(
-            self.pageviews[rows], self.language_editions[rows], self.birth_year[rows]
-        )
 
 
 def index_records(records, locations: LocationTable, occupations) -> RecordIndex:
@@ -531,15 +521,24 @@ def index_records(records, locations: LocationTable, occupations) -> RecordIndex
 
 @dataclass
 class Dataset:
-    """Validated inputs plus the indexes the pipeline needs."""
+    """Validated inputs plus the indexes the pipeline needs.
+
+    The record indexes are built with the dataset.  ``source_levels`` is
+    read from ``gdp`` on first use, so a builder may fill ``gdp`` in place
+    until then (the synthetic world computes its levels from the features
+    of its own dataset).
+    """
 
     records: list
     locations: LocationTable
     gdp: list
     rejects: list = field(default_factory=list)
 
+    @cached_property
+    def source_levels(self) -> dict:
+        return {(o.location_id, o.year): o.gdp_pc for o in self.gdp}
+
     def __post_init__(self):
-        self.source_levels = {(o.location_id, o.year): o.gdp_pc for o in self.gdp}
         self.by_person = {r.person_id: r for r in self.records}
         if len(self.by_person) != len(self.records):
             counts = Counter(r.person_id for r in self.records)
@@ -593,9 +592,10 @@ def load_dataset(
 
 
 def write_rejects_report(rejects, path):
-    """Write the rejects report CSV next to the run outputs."""
+    """Write the rejects report CSV next to the run outputs: one row per
+    rejected input row, naming its table (``biographies`` or ``gdp``)."""
     write_table(
         path,
-        ["line_number", "key", "reason"],
-        ([r.line_number, r.key, r.reason] for r in rejects),
+        ["file", "line_number", "key", "reason"],
+        ([r.file, r.line_number, r.key, r.reason] for r in rejects),
     )

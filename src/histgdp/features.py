@@ -18,8 +18,8 @@ rows and region rows in one matrix would double-count every individual.
 ``build_static_features`` counts from the dataset's record index
 (``Dataset.record_index``) with array operations; ``hpi``, ``hpi_weight``
 and ``linearize`` are element-wise over arrays and bit-identical to their
-one-record use.  ``assign_flows``, ``flow_counts`` and ``avg_age`` compute
-the same counts record by record; they are the reference the vectorized
+scalar use.  ``assign_flows``, ``flow_counts`` and ``avg_age`` compute the
+same counts record by record; they are the reference the vectorized
 build is tested against.  ``eci`` takes the complexity indices in closed
 form from the LAPACK SVD that also gives the SVD factors, with a spectral
 certificate.
@@ -44,6 +44,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import DEFAULT_REFERENCE_YEAR
+
 # assign_flows is not called here; it is re-exported beside flow_counts and
 # avg_age, the per-record reference of build_static_features.
 from .data_ingest import FLOWS, LEVELS, FlowAssignment, LocationTable, assign_flows
@@ -51,7 +53,6 @@ from .data_ingest import write_table
 from .errors import ValidationError
 from .numerics import spearman, svd
 
-DEFAULT_REFERENCE_YEAR = 2023
 N_SVD_FACTORS = 5
 
 INIT_GDP_PROVENANCES = ("source", "model", "country_source", "country_model", "supra_mean")
@@ -113,16 +114,15 @@ def hpi(pageviews, language_editions, age) -> HpiScore:
     return HpiScore(value=value, clamped=clamped)
 
 
-def hpi_weight(record, reference_year: int = DEFAULT_REFERENCE_YEAR):
-    """Count weight: the HPI clamped at zero.
+def hpi_weight(pageviews, language_editions, birth_year, reference_year: int):
+    """Count weight: the HPI at age ``reference_year - birth_year``, floored at 0.
 
-    ``record`` is one ``BiographyRecord`` (a float comes back) or a
-    ``RecordWindow`` of many (an array comes back, element-wise equal to
-    the per-record weights).  The young-age penalty can push the score
-    negative; negative "counts" would break the log scaling downstream, so
-    weights floor at 0.
+    Element-wise like :func:`hpi`: scalars give a float, equal-length arrays
+    an array of the scalar weights.  The young-age penalty can push the
+    score negative; negative "counts" would break the log scaling
+    downstream, so weights floor at 0.
     """
-    score = hpi(record.pageviews, record.language_editions, reference_year - record.birth_year)
+    score = hpi(pageviews, language_editions, reference_year - birth_year)
     weight = np.where(0.0 > score.value, 0.0, score.value)
     return float(weight) if weight.ndim == 0 else weight
 
@@ -185,7 +185,8 @@ def flow_counts(
                     raise ValidationError(
                         f"occupation '{record.occupation}' missing from vocabulary"
                     )
-                w[i, k] += hpi_weight(record, reference_year)
+                w[i, k] += hpi_weight(record.pageviews, record.language_editions,
+                                      record.birth_year, reference_year)
                 u[i, k] += 1
         weighted[flow] = w
         unweighted[flow] = u
@@ -634,7 +635,7 @@ def build_static_features(
 
     Reads the dataset's record index: the records born in
     ``[year - window_years, year]`` are HPI-weighted by one element-wise
-    ``hpi_weight`` call on their ``RecordWindow`` and counted per location
+    ``hpi_weight`` call on their index arrays and counted per location
     and occupation with ``np.bincount`` over the four flow masks; counts
     are linearized by one element-wise ``linearize`` call per block.
     Every column except the SVD factors is bit-identical to the per-record
@@ -653,7 +654,8 @@ def build_static_features(
     window = np.flatnonzero(
         (index.birth_year >= year - window_years) & (index.birth_year <= year)
     )
-    weights = hpi_weight(index.window(window), reference_year)
+    weights = hpi_weight(index.pageviews[window], index.language_editions[window],
+                         index.birth_year[window], reference_year)
     counted = {
         level: _index_counts(index, level, window, weights, occupations) for level in LEVELS
     }

@@ -313,9 +313,10 @@ def bootstrap_ci(
 ):
     """Percentile-bootstrap confidence intervals for target predictions.
 
-    Resamples training rows with replacement (or whole country clusters)
-    and refits at the already-chosen hyperparameters: every replicate is
-    a row of ``np.bincount`` multiplicity weights, and one
+    Resamples units with replacement and refits at the already-chosen
+    hyperparameters.  A unit is a training row or, for ``unit="country"``, a
+    ``clusters`` label; every row of a unit gets the unit's ``np.bincount``
+    multiplicity in the replicate's row of weights, and one
     :func:`fit_centered` call solves them all, each starting from
     ``start``: the full-data fit's coefficients at these hyperparameters,
     which the period model already holds.  The intervals are quantiles of the level-scale
@@ -334,12 +335,13 @@ def bootstrap_ci(
     targets = np.asarray(x_targets, dtype=float)
     n = x.shape[0]
     factors = np.ones(targets.shape[0]) if level_factors is None else np.asarray(level_factors)
-    if unit == "country":
-        if clusters is None:
-            raise ValidationError("bootstrap_ci: country unit needs cluster labels")
-        labels = np.asarray(clusters)
-        unique = sorted(set(labels.tolist()))
-        members = {c: np.flatnonzero(labels == c) for c in unique}
+    if unit == "row":
+        unit_of = np.arange(n)  # each row's unit
+    elif unit == "country" and clusters is not None:
+        unit_of = np.unique(np.asarray(clusters), return_inverse=True)[1]  # in label order
+    else:
+        raise ValidationError(f"bootstrap_ci: unit must be row, or country with clusters: {unit}")
+    n_units = int(unit_of.max()) + 1
     full_degenerate = bool(np.all(y == y[0]))
 
     weights = np.empty((n_samples, n))
@@ -347,12 +349,9 @@ def bootstrap_ci(
     for b in range(n_samples):
         for attempt in range(MAX_RESAMPLE_ATTEMPTS):
             rng = child_rng(seed, "bootstrap", b, attempt)
-            if unit == "row":
-                idx = rng.integers(0, n, size=n)
-            else:
-                chosen = rng.integers(0, len(unique), size=len(unique))
-                idx = np.concatenate([members[unique[c]] for c in chosen])
-            degenerate = bool(np.all(y[idx] == y[idx][0])) and not full_degenerate
+            drawn = np.bincount(rng.integers(0, n_units, n_units), minlength=n_units)[unit_of]
+            kept = y[drawn > 0]
+            degenerate = bool(np.all(kept == kept[0])) and not full_degenerate
             if not degenerate:
                 break
             skipped += 1
@@ -361,7 +360,7 @@ def bootstrap_ci(
                 f"bootstrap_ci: replicate {b} drew a constant response in "
                 f"{MAX_RESAMPLE_ATTEMPTS} resamples"
             )
-        weights[b] = np.bincount(idx, minlength=n)
+        weights[b] = drawn
     betas, col_means, y_means = fit_centered(x, y, weights, alpha, lam, warm_start=start)[:3]
     predictions = np.empty((n_samples, targets.shape[0]))
     for b in range(n_samples):
@@ -392,10 +391,10 @@ class PeriodFit:
     training levels.  ``predictions`` holds the model's log10 value for
     every candidate row that passed the gate, before rescaling, and
     ``gated`` the rows that did not.  ``levels`` holds the same rows after
-    regional rescaling, with their ``factors`` (1.0 where none applied).
-    ``proxy_weights`` maps each rescaled regional row to its birth+death
-    weight; ``n_unrescaled_regions`` counts the regional rows whose country
-    had no value to rescale to.
+    regional rescaling, with their ``factors`` (1.0 for country rows).
+    Every regional row is rescaled: gate counts roll regions up into their
+    country and every gating rule is monotone in them, so the country of a
+    region that passes the gate has a source value or an estimate.
     """
 
     run: int
@@ -407,8 +406,6 @@ class PeriodFit:
     predictions: dict
     levels: dict
     factors: dict
-    proxy_weights: dict
-    n_unrescaled_regions: int
 
 
 @dataclass
@@ -527,28 +524,20 @@ def _predict_period(dataset, config, period, r, run, fm, labels, tpm, statics) -
     candidate_keys = [k for k in fm.row_keys if k not in source]
     predictions, gated = predict_gated(tpm, fm, candidate_keys, gate_counts, config)
 
-    # regional rescaling against the country value (source wins)
+    # regional rescaling against the country value (source wins; see PeriodFit)
     levels = {k: 10.0 ** v for k, v in predictions.items()}
     factors = {k: 1.0 for k in levels}
-    proxy_weights: dict = {}
-    n_unrescaled = 0
     regional_groups: dict = {}  # (country, year) -> {regional key: level}
     for (lid, year), v in levels.items():
         if locations.get(lid).level == "region":
             regional_groups.setdefault((locations.country_of(lid), year), {})[(lid, year)] = v
-    for (country, year), regional in sorted(regional_groups.items()):
-        country_value = source.get((country, year))
-        if country_value is None:
-            country_value = levels.get((country, year))
-        if country_value is None:
-            n_unrescaled += len(regional)
-            continue
+    for country_key, regional in sorted(regional_groups.items()):
+        country_value = source[country_key] if country_key in source else levels[country_key]
         weights = {key: sum(gate_counts(key)) for key in regional}
         rescaled, c = rescale_regions(regional, country_value, weights)
         for key, value in rescaled.items():
             levels[key] = value
             factors[key] = c
-            proxy_weights[key] = weights[key]
     run.store.update(levels)
     return PeriodFit(
         run=r,
@@ -560,8 +549,6 @@ def _predict_period(dataset, config, period, r, run, fm, labels, tpm, statics) -
         predictions=predictions,
         levels=levels,
         factors=factors,
-        proxy_weights=proxy_weights,
-        n_unrescaled_regions=n_unrescaled,
     )
 
 
@@ -600,9 +587,7 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
         p.period_id: {"skipped": "no labeled rows"} for p in PERIODS if p not in fitted
     }
     gated_keys: list = []
-    proxy_weights: dict = {}
     provenance_counts: dict = {}
-    n_unrescaled_regions = 0
     n_skipped_replicates = 0
     n_age_imputed = 0
 
@@ -611,8 +596,6 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
         period, fm, tpm = fit.period, fit.features, fit.model
         n_age_imputed += sum(len(statics[year].age_imputed) for year in period.snapshots)
         gated_keys.extend(fit.gated)
-        proxy_weights.update(fit.proxy_weights)
-        n_unrescaled_regions += fit.n_unrescaled_regions
 
         # bootstrap intervals on the final (rescaled) level scale
         ordered = sorted(fit.levels)
@@ -651,7 +634,7 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
                     ci_low=float(ci_low[i]),
                     ci_high=float(ci_high[i]),
                     kind="estimate",
-                    rescaled=key in fit.proxy_weights,
+                    rescaled=locations.get(lid).level == "region",
                     init_gdp_provenance=prov,
                 )
             )
@@ -673,15 +656,14 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
         }
 
     estimates.sort(key=lambda e: (e.location_id, e.year))
-    audit = audit_rescaling(estimates, locations, proxy_weights)
+    audit = audit_rescaling(estimates, locations, statics)
     report = {
         "config": config.echo(),
         "counts": {
             "source": sum(1 for e in estimates if e.kind == "source"),
             "estimates": sum(1 for e in estimates if e.kind == "estimate"),
             "gated": len(gated_keys),
-            "rescaled": len(proxy_weights),
-            "unrescaled_regions": n_unrescaled_regions,
+            "rescaled": sum(1 for e in estimates if e.rescaled),
             "skipped_bootstrap_replicates": n_skipped_replicates,
             "avg_age_imputed_rows": n_age_imputed,
             "rejected_rows": len(dataset.rejects),
@@ -714,12 +696,12 @@ def _eci_report(statics: dict, years) -> dict:
     }
 
 
-def audit_rescaling(estimates, locations: LocationTable, proxy_weights: dict) -> dict:
+def audit_rescaling(estimates, locations: LocationTable, statics: dict) -> dict:
     """Check the weighted-mean constraint on every rescaled country-year.
 
-    For each (country, year) with rescaled regional estimates and a country
-    value, the proxy-weighted mean of the regional estimates must equal the
-    country value to 1e-9 relative.
+    For each (country, year) with rescaled regional estimates, their mean
+    weighted by births plus deaths (read from ``statics[year].gate_counts``)
+    must equal the country's value in ``estimates`` to 1e-9 relative.
     """
     by_key = {(e.location_id, e.year): e for e in estimates}
     groups: dict = {}
@@ -732,13 +714,9 @@ def audit_rescaling(estimates, locations: LocationTable, proxy_weights: dict) ->
     max_rel = 0.0
     violations = []
     for (country, year), members in sorted(groups.items()):
-        country_rec = by_key.get((country, year))
-        if country_rec is None:
-            continue
-        total = sum(proxy_weights[(m.location_id, m.year)] for m in members)
-        wmean = (
-            sum(proxy_weights[(m.location_id, m.year)] * m.gdp_pc for m in members) / total
-        )
+        country_rec = by_key[(country, year)]
+        weights = [sum(statics[year].gate_counts(m.location_id)) for m in members]
+        wmean = sum(w * m.gdp_pc for w, m in zip(weights, members)) / sum(weights)
         rel = abs(wmean - country_rec.gdp_pc) / country_rec.gdp_pc
         checked += 1
         max_rel = max(max_rel, rel)

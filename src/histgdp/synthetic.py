@@ -54,7 +54,6 @@ class SyntheticWorld:
     observed_log_gdp: dict  # (location, year) -> realized value (with noise)
     true_coefficients: dict
     region_effects: dict
-    lag_coefficient: float
     noise_sd: float
     periods: tuple = field(default_factory=tuple)
 
@@ -185,7 +184,8 @@ def make_synthetic_world(
                 )
                 pid += 1
 
-    feature_world = Dataset(records=records, locations=locations, gdp=[])
+    # one dataset: its features give the levels that then fill its gdp list
+    dataset = Dataset(records=records, locations=locations, gdp=[])
     region_effects = {
         name: effect
         for name, effect in zip(supra_names, rng.normal(0.0, 0.15, size=n_supra))
@@ -193,11 +193,10 @@ def make_synthetic_world(
 
     true_log = {}
     observed_log = {}
-    gdp_rows = []
     all_location_ids = locations.ids()
     for period in periods:
         for year in period.snapshots:
-            fm = build_static_features(year, feature_world, window_years=window_years).matrix
+            fm = build_static_features(year, dataset, window_years=window_years).matrix
             lids = [lid for lid, _ in fm.row_keys]
             # in true_coefficients order: another order changes the last bits
             signal = sum(coef * fm.values[:, fm.columns.index(name)]
@@ -215,18 +214,16 @@ def make_synthetic_world(
                 is_region = locations.get(lid).level == "region"
                 if is_region and rng.random() > label_fraction:
                     continue
-                gdp_rows.append(
+                dataset.gdp.append(
                     GdpObservation(lid, year, 10.0 ** observed_log[(lid, year)], "synthetic")
                 )
 
-    dataset = Dataset(records=records, locations=locations, gdp=gdp_rows)
     return SyntheticWorld(
         dataset=dataset,
         true_log_gdp=true_log,
         observed_log_gdp=observed_log,
         true_coefficients=dict(true_coefficients),
         region_effects=region_effects,
-        lag_coefficient=LAG_COEFFICIENT,
         noise_sd=noise_sd,
         periods=tuple(p.period_id for p in periods),
     )

@@ -103,7 +103,7 @@ class TestValidate:
         code = run(["validate", "--config", config_file, "--gdp", gdp, "--output-dir", tmp_path])
         assert code == 0
         rejects = (tmp_path / "rejects.csv").read_text().splitlines()
-        assert f"{len(rows) + 1},{location},infinite gdp_pc" in rejects
+        assert f"gdp,{len(rows) + 1},{location},infinite gdp_pc" in rejects
         assert json.loads(capsys.readouterr().out)["rejected_rows"] == len(rejects) - 1
 
     def test_missing_input_path_exits_one_with_one_usage_line(self, tmp_path, capsys):

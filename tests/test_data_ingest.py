@@ -361,15 +361,15 @@ class TestLoadDataset:
         assert [r.person_id for r in ds.records] == ["p1"] and len(ds.gdp) == 1
         write_rejects_report(ds.rejects, tmp_path / "rejects.csv")
         assert (tmp_path / "rejects.csv").read_text().splitlines() == [
-            "line_number,key,reason",
-            "3,p2,wrong field count",
-            "4,,missing person_id",
-            "5,p4,missing birth_year",
-            "6,p5,missing or negative pageviews",
-            "7,p6,missing or non-positive language_editions",
-            "3,AT,wrong field count",
-            "4,AT,unparseable gdp_pc 'abc'",
-            "5,XX,unknown location",
+            "file,line_number,key,reason",
+            "biographies,3,p2,wrong field count",
+            "biographies,4,,missing person_id",
+            "biographies,5,p4,missing birth_year",
+            "biographies,6,p5,missing or negative pageviews",
+            "biographies,7,p6,missing or non-positive language_editions",
+            "gdp,3,AT,wrong field count",
+            "gdp,4,AT,unparseable gdp_pc 'abc'",
+            "gdp,5,XX,unknown location",
         ]
 
 

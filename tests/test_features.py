@@ -109,7 +109,7 @@ class TestFlowCounts:
 
     def test_negative_hpi_clamped_but_counted(self, locations):
         r = rec("p", 2000, "AT", "AT", views=1, langs=1)  # age 23 -> negative HPI
-        assert hpi_weight(r) == 0.0
+        assert hpi_weight(r.pageviews, r.language_editions, r.birth_year, 2023) == 0.0
         flows = assign_flows([r], locations, 2000, 150)
         counts = flow_counts(flows, {"p": r}, locations, "country", ("painter",))
         i = counts.row("AT")
@@ -585,7 +585,8 @@ class TestIndexedBuildMatchesReference:
         assert "p01" in flows.immigrants["PL-1"] and "p02" in flows.immigrants["FR-2"]
         assert "p02" not in flows.emigrants["FR"]  # a regional move only
         assert "p03" not in flows.members("PL-1") | flows.members("PL-2")
-        assert hpi_weight(ds.by_person["p06"], 1820) == 0.0
+        p06 = ds.by_person["p06"]
+        assert hpi_weight(p06.pageviews, p06.language_editions, p06.birth_year, 1820) == 0.0
         assert ds.by_person["p04"].lifespan is None
         static = build_static_features(1800, ds, reference_year=1820)
         flagged = static.age_imputed
@@ -760,9 +761,11 @@ class TestElementwiseHpi:
         ds, reference = hpi_edge_dataset
         index = ds.record_index
         rows = np.arange(len(ds.records))
-        weights = hpi_weight(index.window(rows), reference)
+        weights = hpi_weight(index.pageviews, index.language_editions, index.birth_year, reference)
         records = [ds.by_person[pid] for pid in sorted(ds.by_person)]
-        per_record = np.array([hpi_weight(r, reference) for r in records])
+        per_record = np.array([
+            hpi_weight(r.pageviews, r.language_editions, r.birth_year, reference) for r in records
+        ])
         expected = np.array([
             reference_hpi_weight(r.pageviews, r.language_editions, reference - r.birth_year)
             for r in records
@@ -772,7 +775,8 @@ class TestElementwiseHpi:
         assert floored == ["h03", "h04", "h09", "h10", "h12"]
         # a subset window in index order
         some = rows[[1, 4, 6, 8, 9]]
-        assert hpi_weight(index.window(some), reference).tobytes() == expected[some].tobytes()
+        assert hpi_weight(index.pageviews[some], index.language_editions[some],
+                          index.birth_year[some], reference).tobytes() == expected[some].tobytes()
 
     def test_world_weights_match_math_bit_for_bit(self, small_world):
         index = small_world.dataset.record_index
@@ -786,7 +790,9 @@ class TestElementwiseHpi:
                 reference_hpi_weight(r.pageviews, r.language_editions, reference - r.birth_year)
                 for r in records
             ])
-            assert hpi_weight(index.window(rows), reference).tobytes() == expected.tobytes()
+            weights = hpi_weight(index.pageviews[rows], index.language_editions[rows],
+                                 index.birth_year[rows], reference)
+            assert weights.tobytes() == expected.tobytes()
 
     def test_array_score_matches_scalar_scores(self):
         views = np.array([0.0, 10.0, 100.0, 100.0, 1000.0, 5.0])
@@ -801,8 +807,10 @@ class TestElementwiseHpi:
 
     def test_empty_window(self, hpi_edge_dataset):
         ds, reference = hpi_edge_dataset
-        empty = ds.record_index.window(np.array([], dtype=np.intp))
-        assert hpi_weight(empty, reference).shape == (0,)
+        index, none = ds.record_index, np.array([], dtype=np.intp)
+        empty = hpi_weight(index.pageviews[none], index.language_editions[none],
+                           index.birth_year[none], reference)
+        assert empty.shape == (0,)
 
 
 class TestElementwiseLinearize:

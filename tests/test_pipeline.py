@@ -209,6 +209,13 @@ class TestBootstrap:
                 np.zeros(1), n_samples=50, unit="country",
             )
 
+    def test_unknown_unit_is_refused(self):
+        with pytest.raises(ValidationError, match="unit must be row"):
+            bootstrap_ci(
+                np.zeros((10, 1)), np.arange(10.0), 0.5, 0.5, np.zeros((1, 1)),
+                np.zeros(1), n_samples=50, unit="countries", clusters=["a"] * 10,
+            )
+
     def test_minimum_samples(self):
         with pytest.raises(ValidationError):
             bootstrap_ci(
@@ -237,6 +244,76 @@ class TestBootstrap:
         )
         assert np.all(lo <= hi)
         assert np.all(lo > 0)
+
+
+    def test_country_unit_of_one_row_each_is_the_row_unit(self):
+        # one response differs, so some resamples are constant and redrawn
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(12, 2))
+        y = np.full(12, 3.0)
+        y[5] = 3.2
+        t, start = rng.normal(size=(3, 2)), full_fit(x, y, 0.5, 0.1)
+        by_row = bootstrap_ci(x, y, 0.5, 0.1, t, start, n_samples=60, seed=4)
+        by_country = bootstrap_ci(
+            x, y, 0.5, 0.1, t, start, n_samples=60, seed=4, unit="country",
+            clusters=[f"c{i:03d}" for i in range(12)],
+        )
+        assert by_row[2] == by_country[2] > 0
+        assert by_row[0].tobytes() == by_country[0].tobytes()
+        assert by_row[1].tobytes() == by_country[1].tobytes()
+
+
+class TestRescalingInvariant:
+    """Every regional estimate is rescaled to a country value, under every
+    gating rule, also where the country itself is estimated."""
+
+    THRESHOLDS = ((1600, 12), (1950, 20), (2000, 40))  # 4x the defaults
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        # countries without GDP in one period are estimated there
+        from histgdp.synthetic import make_synthetic_world
+
+        ds = make_synthetic_world(
+            n_countries=10, n_occupations=4, period_ids=("late_middle_ages", "early_modern"),
+            seed=3, n_regions_per_country=3, n_supra=2, label_fraction=0.3,
+            true_coefficients={"births.occ00": 0.45, "immigrants.total": 0.4},
+        ).dataset
+        dropped = set(ds.locations.countries()[:3])
+        years = set(PERIODS[1].snapshots)
+        gdp = [o for o in ds.gdp if not (o.location_id in dropped and o.year in years)]
+        return Dataset(ds.records, ds.locations, gdp)
+
+    @pytest.mark.parametrize("rule", ["both", "either", "sum"])
+    def test_every_regional_estimate_is_rescaled(self, world, rule):
+        config = small_test_config(gating_rule=rule, gating_thresholds=self.THRESHOLDS)
+        result = run_full(world, config)
+        locations = world.locations
+        by_key = {(e.location_id, e.year): e for e in result.estimates}
+        regional = [e for e in result.estimates
+                    if e.kind == "estimate" and locations.get(e.location_id).level == "region"]
+        country_years = {(locations.country_of(e.location_id), e.year) for e in regional}
+        assert result.report["counts"]["gated"] > 0
+        assert all(e.rescaled for e in regional)
+        assert result.report["counts"]["rescaled"] == len(regional)
+        # some regions are rescaled to their country's own estimate
+        assert any(by_key[key].kind == "estimate" for key in country_years)
+        audit = result.report["rescale_audit"]
+        assert audit["checked"] == len(country_years) > 0
+        assert audit["violations"] == []
+
+    def test_audit_reports_the_one_changed_country_year(self, world):
+        config = small_test_config()
+        estimates = run_full(world, config).estimates
+        locations = world.locations
+        statics = pipeline.build_statics(world, config, sorted({e.year for e in estimates}), {})
+        i, changed = next((i, e) for i, e in enumerate(estimates) if e.rescaled)
+        estimates[i] = replace(changed, gdp_pc=changed.gdp_pc * 1.01)
+        audit = pipeline.audit_rescaling(estimates, locations, statics)
+        assert audit["checked"] > 1
+        assert [(v["country"], v["year"]) for v in audit["violations"]] == [
+            (locations.country_of(changed.location_id), changed.year)
+        ]
 
 
 class TestTrainPeriod:
@@ -454,35 +531,6 @@ class TestRunFull:
                 draws[:, j] = rows[:, 0]
             assert np.all(draws.sum(axis=1) == len(countries))
 
-    def test_region_whose_country_has_no_value_stays_unrescaled(self, small_world,
-                                                                small_config, monkeypatch):
-        # a country without GDP in the second period, whose own row the gate
-        # refuses: its estimated regions have neither a source value nor an
-        # estimate to rescale to.  Gate counts roll regions up into their
-        # country and every gating rule is monotone in them, so no built-in
-        # gate refuses a country whose region it passes; a wrapper does.
-        ds = small_world.dataset
-        country = ds.locations.countries()[0]
-        years = set(PERIODS[1].snapshots)
-        gdp = [o for o in ds.gdp if not (o.location_id == country and o.year in years)]
-        dataset = Dataset(ds.records, ds.locations, gdp)
-        gate = pipeline.predict_gated
-
-        def refuse_country(tpm, fm, keys, gate_counts, config):
-            mine = [k for k in keys if k[0] == country]
-            predictions, gated = gate(tpm, fm, [k for k in keys if k[0] != country],
-                                      gate_counts, config)
-            return predictions, gated + mine
-
-        assert run_full(dataset, small_config).report["counts"]["unrescaled_regions"] == 0
-        monkeypatch.setattr(pipeline, "predict_gated", refuse_country)
-        result = run_full(dataset, small_config)
-        regions = set(ds.locations.regions_of(country))
-        stranded = [e for e in result.estimates
-                    if e.kind == "estimate" and e.location_id in regions and e.year in years]
-        assert stranded and not any(e.rescaled for e in stranded)
-        assert result.report["counts"]["unrescaled_regions"] == len(stranded)
-        assert result.report["rescale_audit"]["violations"] == []
 
 class TestWriters:
     def test_format_float_six_significant(self):

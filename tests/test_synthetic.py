@@ -130,3 +130,24 @@ def test_argument_bounds_are_accepted():
         "country"
     }
     assert all(r.death_location != r.birth_location for r in world.dataset.records)
+
+
+def test_world_builds_its_record_index_once(monkeypatch):
+    # the features that give the levels and the returned dataset share one index
+    from histgdp import data_ingest
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return index_records(*args)
+
+    index_records = data_ingest.index_records
+    monkeypatch.setattr(data_ingest, "index_records", counting)
+    arguments, _ = PINNED_WORLDS["regions"]
+    world = make_synthetic_world(**arguments)
+    assert len(calls) == 1
+    dataset = world.dataset
+    assert dataset.gdp and dataset.source_levels == {
+        (o.location_id, o.year): o.gdp_pc for o in dataset.gdp
+    }
