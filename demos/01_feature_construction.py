@@ -56,7 +56,7 @@ records = [
 print("=== Historical popularity (HPI) ===")
 for r in records[:3]:
     score = hpi(r.pageviews, r.language_editions, 2023 - r.birth_year)
-    print(f"  {r.person_id:10s} views={r.pageviews:>7d} -> HPI {score.value:.3f}")
+    print(f"  {r.person_id:10s} views={r.pageviews:>7d} -> HPI {score:.3f}")
 
 print("\n=== Flow assignment for the 1550 snapshot (150-year window) ===")
 flows = assign_flows(records, locations, 1550, 150)

@@ -48,11 +48,3 @@ final = en_fit(x, y, cv.chosen_alpha, cv.chosen_lambda,
                feature_names=std.columns)
 print(f"  selected features: {final.selected_features}")
 print(f"  true support: col_2, col_9, col_17")
-
-print("\n=== Lossless model serialization ===")
-doc = final.to_json()
-from histgdp.elasticnet import EnModel
-
-restored = EnModel.from_json(doc)
-print(f"  round-trip exact: {np.array_equal(restored.coefficients, final.coefficients)}")
-print(f"  training hash: {final.training_hash[:16]}...")

@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .config import CHOICES, RunConfig, config_from_sources
+from .config import CHOICES, RunConfig, config_from_sources, field_type
 from .data_ingest import load_dataset, write_json, write_rejects_report
 from .errors import HistGdpError, InputError, ValidationError
 from .evaluation import (
@@ -70,8 +70,7 @@ def _add_config_flags(p):
     """One flag per RunConfig field; unset flags stay None."""
     p.add_argument("--config", help="JSON config file (flat keys mirror the flags)")
     for f in fields(RunConfig):
-        default_type = str if f.default is None else type(f.default)
-        parse, metavar = _FLAG_PARSERS.get(f.name, (default_type, None))
+        parse, metavar = _FLAG_PARSERS.get(f.name, (field_type(f), None))
         p.add_argument(
             "--" + f.name.replace("_", "-"),
             dest=f.name,

@@ -144,14 +144,46 @@ class RunConfig:
         return doc
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+
+def field_type(f) -> type:
+    """A :class:`RunConfig` field's type: its default's, or ``str`` for a path."""
+    return str if f.default is None else type(f.default)
+
+
+def _is_a(value, kind: type) -> bool:
+    """Whether a JSON ``value`` is a ``kind``: a bool is no number, and an
+    int is also a float."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind
+    )
+
+
+def _expected_type(key: str, value) -> str | None:
+    """What config-file key ``key`` must hold, when ``value`` is not that;
+    else None.  A tuple field holds a list, as its flag parser builds it."""
+    if key == "alpha_grid":
+        ok = isinstance(value, list) and all(_is_a(a, float) for a in value)
+        return None if ok else "a list of numbers"
+    if key == "gating_thresholds":
+        ok = isinstance(value, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and all(_is_a(x, int) for x in pair)
+            for pair in value
+        )
+        return None if ok else "a list of [year, threshold] integer pairs"
+    f = _FIELDS[key]
+    if _is_a(value, field_type(f)) or (value is None and f.default is None):
+        return None
+    return {int: "an integer", float: "a number", str: "a string"}[field_type(f)]
 
 
 def config_from_sources(file_path=None, overrides=None) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus flag overrides.
 
-    The config file uses flat keys mirroring the flag names.  Unknown keys
-    are rejected so typos surface immediately.
+    The config file uses flat keys mirroring the flag names.  Unknown keys,
+    and values not of their field's type, are rejected so typos surface
+    immediately.
     """
     merged: dict = {}
     if file_path is not None:
@@ -164,14 +196,18 @@ def config_from_sources(file_path=None, overrides=None) -> RunConfig:
             raise ValidationError(f"{path}: invalid JSON ({err})") from None
         if not isinstance(loaded, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
-        unknown = set(loaded) - _FIELD_NAMES
+        unknown = set(loaded) - set(_FIELDS)
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in sorted(loaded.items()):
+            if (expected := _expected_type(key, value)) is not None:
+                raise ValidationError(f"{path}: config key '{key}' must be {expected}, "
+                                      f"got {json.dumps(value)}")
         merged.update(loaded)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _FIELD_NAMES:
+        if key not in _FIELDS:
             raise ValidationError(f"unknown config override '{key}'")
         merged[key] = value
     return RunConfig(**merged)

@@ -81,11 +81,21 @@ class Location:
     supranational_region: str
 
 
+def _grouped(ids, key) -> dict:
+    """``ids`` grouped by ``key``, each group a tuple in ``ids`` order."""
+    groups: dict = {}
+    for lid in ids:
+        groups.setdefault(key(lid), []).append(lid)
+    return {k: tuple(group) for k, group in groups.items()}
+
+
 class LocationTable:
     """Region/country hierarchy with supranational groupings.
 
     Construction validates the hierarchy: region parents must exist and be
     countries, every country needs a supranational region, ids are unique.
+    It also sorts the ids of each level and of each country's regions once,
+    so the lookups below do not scan the table.
     """
 
     def __init__(self, entries):
@@ -109,10 +119,12 @@ class LocationTable:
                 raise ValidationError(
                     f"country '{loc.location_id}' lacks a supranational region"
                 )
-        by_supra: dict[str, list[str]] = {}
-        for country in self.countries():
-            by_supra.setdefault(self._by_id[country].supranational_region, []).append(country)
-        self._countries_by_supra = {supra: tuple(ids) for supra, ids in by_supra.items()}
+        ordered = sorted(self._by_id)
+        self._ids = {None: tuple(ordered), **_grouped(ordered, lambda i: self._by_id[i].level)}
+        self._regions_of = _grouped(self.regions(), lambda r: self._by_id[r].parent_country)
+        self._countries_by_supra = _grouped(
+            self.countries(), lambda c: self._by_id[c].supranational_region
+        )
 
     def __contains__(self, location_id: str) -> bool:
         return location_id in self._by_id
@@ -127,9 +139,7 @@ class LocationTable:
             raise ValidationError(f"unknown location id '{location_id}'") from None
 
     def ids(self, level: str | None = None) -> list[str]:
-        return sorted(
-            lid for lid, loc in self._by_id.items() if level is None or loc.level == level
-        )
+        return list(self._ids.get(level, ()))
 
     def countries(self) -> list[str]:
         return self.ids("country")
@@ -138,11 +148,7 @@ class LocationTable:
         return self.ids("region")
 
     def regions_of(self, country_id: str) -> list[str]:
-        return sorted(
-            lid
-            for lid, loc in self._by_id.items()
-            if loc.level == "region" and loc.parent_country == country_id
-        )
+        return list(self._regions_of.get(country_id, ()))
 
     def country_of(self, location_id: str) -> str:
         loc = self.get(location_id)

@@ -36,10 +36,7 @@ one call; and :func:`en_fit` is :func:`fit_centered` on one row of ones.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -397,8 +394,8 @@ class EnModel:
 
     ``n_sweeps`` holds the active-set solver's steps and ``max_delta`` the
     largest KKT violation left at the solution (the fit's certificate);
-    the names, and the ``convergence`` keys of :meth:`to_json`, are kept
-    for compatibility with stored models.
+    the benchmark's tracer (``benchmarks/tracing.py``) reads ``n_sweeps``
+    by that name.
     """
 
     alpha: float
@@ -410,7 +407,6 @@ class EnModel:
     sds: np.ndarray
     n_sweeps: int
     max_delta: float
-    training_hash: str = ""
 
     def standardize_rows(self, values, names) -> np.ndarray:
         """Raw rows whose columns are ``names`` as the model reads them: its
@@ -426,70 +422,16 @@ class EnModel:
             raise ValidationError(f"input is missing model column {err}") from None
         return (np.asarray(values, dtype=float)[:, cols] - self.means) / self.sds
 
+    def predict(self, values, names) -> np.ndarray:
+        """The model's values for raw rows whose columns are ``names``,
+        read as :meth:`standardize_rows` reads them."""
+        return self.intercept + self.standardize_rows(values, names) @ self.coefficients
+
     @property
     def selected_features(self) -> tuple:
         return tuple(
             name for name, c in zip(self.feature_names, self.coefficients) if c != 0.0
         )
-
-    def to_json(self) -> str:
-        doc = {
-            "alpha": float(self.alpha).hex(),
-            "lambda": float(self.lam).hex(),
-            "intercept": float(self.intercept).hex(),
-            "feature_names": list(self.feature_names),
-            "coefficients": {
-                name: float(c).hex()
-                for name, c in zip(self.feature_names, self.coefficients)
-            },
-            "standardization": {
-                "means": {
-                    name: float(m).hex()
-                    for name, m in zip(self.feature_names, self.means)
-                },
-                "sds": {
-                    name: float(s).hex()
-                    for name, s in zip(self.feature_names, self.sds)
-                },
-            },
-            "convergence": {
-                "sweeps": int(self.n_sweeps),
-                "max_delta": float(self.max_delta).hex(),
-            },
-            "training_hash": self.training_hash,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnModel":
-        doc = json.loads(text)
-        names = tuple(doc.get("feature_names") or doc["coefficients"].keys())
-        return cls(
-            alpha=float.fromhex(doc["alpha"]),
-            lam=float.fromhex(doc["lambda"]),
-            intercept=float.fromhex(doc["intercept"]),
-            coefficients=np.array(
-                [float.fromhex(doc["coefficients"][n]) for n in names]
-            ),
-            feature_names=names,
-            means=np.array(
-                [float.fromhex(doc["standardization"]["means"][n]) for n in names]
-            ),
-            sds=np.array(
-                [float.fromhex(doc["standardization"]["sds"][n]) for n in names]
-            ),
-            n_sweeps=int(doc["convergence"]["sweeps"]),
-            max_delta=float.fromhex(doc["convergence"]["max_delta"]),
-            training_hash=doc.get("training_hash", ""),
-        )
-
-
-def _content_hash(values: np.ndarray, names) -> str:
-    h = hashlib.sha256()
-    h.update(repr(values.shape).encode())
-    h.update("|".join(names).encode())
-    h.update(np.ascontiguousarray(values).tobytes())
-    return h.hexdigest()
 
 
 def en_fit(
@@ -510,7 +452,7 @@ def en_fit(
     :func:`fit_centered` on one row of unit weights, so the response is
     centered internally and the intercept is the mean of the uncentered
     response.  ``means``/``sds`` are the raw-scale standardization
-    parameters, stored so that :func:`en_predict` can standardize new
+    parameters, stored so that :meth:`EnModel.predict` can standardize new
     raw-scale rows identically; omit them when the caller works in
     standardized space throughout.  ``tol`` bounds the largest KKT
     violation of the fit, which the model keeps as ``max_delta``, with the
@@ -540,26 +482,7 @@ def en_fit(
         sds=np.ones(p) if sds is None else np.asarray(sds, dtype=float),
         n_sweeps=int(steps[0]),
         max_delta=float(violation[0]),
-        training_hash=_content_hash(values, names),
     )
-
-
-def en_predict(model: EnModel, x_new, feature_names=None) -> np.ndarray:
-    """Predict on raw-scale rows using the model's stored standardization.
-
-    ``feature_names`` names the columns of ``x_new``, as in :func:`en_fit`
-    (``x<j>`` by default).  Columns are matched by name; extra columns are
-    ignored with a warning, a missing model column is an error.
-    """
-    values, names = _unpack(x_new, feature_names)
-    std = model.standardize_rows(values, names)
-    extra = set(names) - set(model.feature_names)
-    if extra:
-        warnings.warn(
-            f"en_predict: ignoring {len(extra)} column(s) unknown to the model",
-            stacklevel=2,
-        )
-    return model.intercept + std @ model.coefficients
 
 
 def lambda_path(x, y, alpha: float, n_lambda: int = 100, ratio: float = 1e-4) -> np.ndarray:
@@ -613,6 +536,14 @@ class CvResult:
     kkt_violation: float = 0.0
     chosen_coefficients: np.ndarray | None = None
     chosen_steps: int = 0
+
+    @property
+    def one_se_cells(self) -> int:
+        """The grid cells whose mean MSE is within one standard error of the
+        minimum, ``sd_mse / sqrt(k)`` at the minimum's cell: how flat it is."""
+        best = int(np.argmin(self.mean_mse))
+        bound = self.mean_mse[best] + self.sd_mse[best] / math.sqrt(len(self.fold_choices))
+        return int(np.count_nonzero(self.mean_mse <= bound))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ from .rng import child_seed
 
 MIN_COUNTRIES = 5
 MIN_TEST_ROWS = 5
+# Why splits fail, as evaluation_summary.json tallies them (SplitMetrics.failure_reason)
+FAILURE_REASONS = ("NumericalError", "ValidationError", "too_few_test_rows")
 # Byte budget of what one batch of splits holds per period through its
 # stacked CV solve (see split_batch_size): 9 splits of the benchmark's
 # evaluate config, so 16 run as 2 batches of 8, and 1 at the paper's 11
@@ -89,6 +91,7 @@ class SplitMetrics:
     n_gated_test: int = 0
     per_period_mae_full: dict = field(default_factory=dict)
     failed: str | None = None
+    failure_reason: str | None = None  # a FAILURE_REASONS entry, or another error's class
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,7 @@ def split_metrics(split: HeldOutSplit) -> SplitMetrics:
             n_test_rows=len(rows),
             n_gated_test=split.n_gated_test,
             failed=f"only {len(rows)} usable test rows (< {MIN_TEST_ROWS})",
+            failure_reason="too_few_test_rows",
         )
     en_log, base_log, obs_log = (np.array(column) for column in zip(*rows))
     obs_level = np.power(10.0, obs_log)
@@ -272,6 +276,7 @@ def evaluate_batch(dataset: Dataset, config: RunConfig, statics: dict, split_ind
             split_index=split.index,
             seed=split.seed,
             failed=f"{type(failures[run]).__name__}: {failures[run]}",
+            failure_reason=type(failures[run]).__name__,
         )
         if run in failures else split_metrics(split)
         for run, split in enumerate(splits)
@@ -447,15 +452,19 @@ def write_evaluation_csv(dist: PerformanceDistribution, path):
 
 
 def write_evaluation_summary(dist: PerformanceDistribution, path):
-    """Write the distribution's medians, IQRs, Kruskal-Wallis tests and
-    per-period median MAE as JSON.  Every float is rounded to 6 significant
-    digits, as in ``evaluation.csv``, so the file's bytes follow the
-    results rather than the solver's last bits."""
+    """Write the distribution's medians, IQRs, Kruskal-Wallis tests,
+    per-period median MAE and failed splits by reason as JSON.  Every
+    float is rounded to 6 significant digits, as in ``evaluation.csv``, so
+    the file's bytes follow the results rather than the solver's last
+    bits."""
 
     def sig6(values: dict) -> dict:
         return {k: float(format_float(v)) for k, v in values.items()}
 
     ok = [s for s in dist.splits if s.failed is None]
+    failed_by_reason = dict.fromkeys(FAILURE_REASONS, 0)
+    for reason in (s.failure_reason for s in dist.splits if s.failed is not None):
+        failed_by_reason[reason] = failed_by_reason.get(reason, 0) + 1
     per_period: dict = {}
     for s in ok:
         for pid, value in s.per_period_mae_full.items():
@@ -463,6 +472,7 @@ def write_evaluation_summary(dist: PerformanceDistribution, path):
     doc = {
         "n_splits": len(dist.splits),
         "n_failed": dist.n_failed,
+        "failed_by_reason": failed_by_reason,
         "medians": sig6(dist.medians),
         "iqr": sig6(dist.iqr),
         "kruskal_wallis": {metric: sig6(test) for metric, test in dist.kw.items()},

@@ -76,42 +76,28 @@ def _log_distinct(ufunc, x: np.ndarray) -> np.ndarray:
     return _through_math(ufunc, distinct)[inverse].reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class HpiScore:
-    """Historical popularity score; ``clamped`` marks floored inputs.
-
-    Both are scalars for scalar inputs and arrays for array inputs."""
-
-    value: float | np.ndarray
-    clamped: bool | np.ndarray = False
-
-
-def hpi(pageviews, language_editions, age) -> HpiScore:
+def hpi(pageviews, language_editions, age) -> float | np.ndarray:
     """Popularity score from page views, language editions, and age.
 
     ``log10(V) + ln(L) + log4(A)`` with a penalty of ``(70 - A) / 7``
-    subtracted for ages under 70.  Inputs below 1 are clamped to 1 and
-    flagged.  The score is continuous at age 70 and weakly increasing in
-    views and language editions.
+    subtracted for ages under 70.  Inputs below 1 are clamped to 1.  The
+    score is continuous at age 70 and weakly increasing in views and
+    language editions.
 
-    Element-wise: the inputs are scalars or equal-length arrays.  The logs
-    are ``math``'s and the operations run in the scalar formula's order, so
-    every element equals the score of its inputs alone, bit for bit.
+    Element-wise: scalar inputs give a float, equal-length arrays an
+    array.  The logs are ``math``'s and the operations run in the scalar
+    formula's order, so every element equals the score of its inputs
+    alone, bit for bit.
     """
-    views = np.asarray(pageviews, dtype=float)
-    langs = np.asarray(language_editions, dtype=float)
-    ages = np.asarray(age, dtype=float)
-    v, l, a = np.maximum(views, 1.0), np.maximum(langs, 1.0), np.maximum(ages, 1.0)
-    clamped = (v != views) | (l != langs) | (a != ages)
+    v, l, a = (np.maximum(np.asarray(x, dtype=float), 1.0)
+               for x in (pageviews, language_editions, age))
     value = (
         _log_distinct(_LOG10, v)
         + _log_distinct(_LN, l)
         + _log_distinct(_LN, a) / math.log(4.0)
     )
     value = np.where(a < 70.0, value - (70.0 - a) / 7.0, value)
-    if value.ndim == 0:
-        return HpiScore(value=float(value), clamped=bool(clamped))
-    return HpiScore(value=value, clamped=clamped)
+    return float(value) if value.ndim == 0 else value
 
 
 def hpi_weight(pageviews, language_editions, birth_year, reference_year: int):
@@ -123,7 +109,7 @@ def hpi_weight(pageviews, language_editions, birth_year, reference_year: int):
     downstream, so weights floor at 0.
     """
     score = hpi(pageviews, language_editions, reference_year - birth_year)
-    weight = np.where(0.0 > score.value, 0.0, score.value)
+    weight = np.where(0.0 > score, 0.0, score)
     return float(weight) if weight.ndim == 0 else weight
 
 

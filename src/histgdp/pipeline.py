@@ -17,7 +17,6 @@ then attaches percentile-bootstrap confidence intervals.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,13 +101,10 @@ class BaselineModel:
     """OLS with supranational-region x snapshot-year fixed effects plus the
     previous-period income level (absent for the earliest period)."""
 
-    period_id: str
     cells: tuple
     cell_coefficients: np.ndarray
     intercept: float
     lag_coefficient: float | None
-    rank_deficient: bool
-    single_obs_cells: tuple
     _cell_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -141,7 +137,6 @@ def fit_baseline(labeled_keys, y_log, init_log, locations: LocationTable, period
     column = {cell: k for k, cell in enumerate(cells)}
     design = np.zeros((len(keys), len(cells) + (0 if init_log is None else 1)))
     design[np.arange(len(keys)), [column[cell] for cell in row_cells]] = 1.0
-    counts = Counter(row_cells)
     if init_log is not None:
         init = np.asarray(init_log, dtype=float)
         if init.size != len(keys):
@@ -149,13 +144,10 @@ def fit_baseline(labeled_keys, y_log, init_log, locations: LocationTable, period
         design[:, -1] = init
     fit = ols_fit(design, y)
     return BaselineModel(
-        period_id=period.period_id,
         cells=tuple(cells),
         cell_coefficients=fit.coefficients[: len(cells)],
         intercept=fit.intercept,
         lag_coefficient=None if init_log is None else float(fit.coefficients[-1]),
-        rank_deficient=fit.rank_deficient,
-        single_obs_cells=tuple(c for c in cells if counts[c] == 1),
     )
 
 
@@ -245,18 +237,6 @@ def train_period(
     return fit_period_model(design, cv)
 
 
-def predict_log10(tpm: TrainedPeriodModel, fm: FeatureMatrix, keys) -> np.ndarray:
-    """Model predictions (log10 scale) for the given row keys of ``fm``.
-
-    The rows are read by column name through
-    :meth:`EnModel.standardize_rows`, so a missing model column raises
-    :class:`ValidationError`.
-    """
-    sub = fm.subset(keys)
-    std = tpm.model.standardize_rows(sub.values, sub.columns)
-    return tpm.model.intercept + std @ tpm.model.coefficients
-
-
 def predict_gated(
     tpm: TrainedPeriodModel,
     fm: FeatureMatrix,
@@ -264,7 +244,8 @@ def predict_gated(
     gate_counts,
     config: RunConfig,
 ):
-    """Predict only the keys that pass the gate (:meth:`RunConfig.passes_gate`).
+    """Predict only the keys that pass the gate (:meth:`RunConfig.passes_gate`),
+    reading their rows of ``fm`` by column name (:meth:`EnModel.predict`).
 
     ``gate_counts`` maps a (location, year) key to its unweighted
     (births, deaths).  Returns (predictions by key in log10, gated keys).
@@ -273,11 +254,8 @@ def predict_gated(
     for key in keys:
         births, deaths = gate_counts(key)
         (passed if config.passes_gate(births, deaths, key[1]) else gated).append(key)
-    predictions = {}
-    if passed:
-        values = predict_log10(tpm, fm, passed)
-        predictions = dict(zip(passed, values.tolist()))
-    return predictions, gated
+    rows = fm.subset(passed)
+    return dict(zip(passed, tpm.model.predict(rows.values, rows.columns).tolist())), gated
 
 
 def rescale_regions(regional_levels: dict, country_value: float, proxies: dict):
@@ -645,11 +623,14 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
             "n_selected": len(tpm.model.selected_features),
             "n_candidates": len(tpm.model.feature_names),
             "n_training_rows": len(tpm.training_keys),
+            "design_rank": int(np.linalg.matrix_rank(tpm.x)),
             "n_estimates": len(ordered),
             "n_gated": len(fit.gated),
             "solver_steps": tpm.cv.chosen_steps + tpm.model.n_sweeps,
             "kkt_violation": tpm.model.max_delta,
             "cv_kkt_violation": tpm.cv.kkt_violation,
+            "cv_min_mse": float(tpm.cv.mean_mse.min()),
+            "cv_one_se_cells": tpm.cv.one_se_cells,
             "dropped_constant_columns": len(tpm.dropped_columns),
             "skipped_bootstrap_replicates": skipped,
             "eci": _eci_report(statics, period.snapshots),

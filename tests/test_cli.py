@@ -4,6 +4,7 @@ import re
 import pytest
 
 from histgdp.cli import main
+from histgdp.config import config_from_sources
 from histgdp.synthetic import write_world_csv
 from conftest import small_test_config
 
@@ -122,6 +123,39 @@ class TestValidate:
         assert "max_reject_fraction must lie in [0, 1], got -0.1" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestConfigFileTypes:
+    # each value once crashed with a traceback or ran silently; the inputs
+    # are real, so only the type check stops the run
+    @pytest.mark.parametrize("key,value", [
+        ("k_folds", "5"),
+        ("alpha_grid", 0.5),
+        ("gating_thresholds", [[1600]]),
+        ("seed", "x"),
+        ("n_lambda", 2.5),
+        ("window_years", True),
+    ])
+    def test_wrongly_typed_value_exits_one_naming_its_key(self, config_file, tmp_path, capsys,
+                                                          key, value):
+        cfg = json.loads(config_file.read_text())
+        cfg[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run(["estimate", "--config", bad, "--output-dir", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config key '{key}' must be" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_integral_number_is_a_float(self, config_file, tmp_path):
+        cfg = json.loads(config_file.read_text())
+        assert cfg["proxies"] is None  # a path may be null
+        cfg["max_reject_fraction"] = 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert config_from_sources(path).max_reject_fraction == 1
 
 
 class TestSettingsEveryLoadRejects:

@@ -6,11 +6,9 @@ import pytest
 from histgdp import elasticnet
 from histgdp.elasticnet import (
     CvResult,
-    EnModel,
     _solve_stack,
     en_cv,
     en_fit,
-    en_predict,
     fit_centered,
     lambda_path,
 )
@@ -156,14 +154,14 @@ class TestPredict:
             std.values, y, 0.5, 1.0, feature_names=std.columns, means=std.means, sds=std.sds
         )
         fitted = model.intercept + std.values @ model.coefficients
-        pred = en_predict(model, raw, feature_names=std.columns)
+        pred = model.predict(raw, std.columns)
         assert np.max(np.abs(pred - fitted)) <= 1e-12
 
     def test_all_zero_coefficients(self):
         x, y = _standardized_problem(11, n=30, p=4)
         lam_top = float(lambda_path(x, y, 1.0, n_lambda=2)[0])
         model = en_fit(x, y, 1.0, lam_top)
-        pred = en_predict(model, x)
+        pred = model.predict(x, model.feature_names)
         assert np.allclose(pred, model.intercept)
 
     def test_feature_at_training_mean_contributes_zero(self):
@@ -173,21 +171,21 @@ class TestPredict:
         y = raw @ np.array([1.0, -2.0, 0.5]) + 0.01 * rng.normal(size=30)
         model = en_fit(std.values, y, 0.2, 0.1, feature_names=std.columns, means=std.means, sds=std.sds)
         row = std.means.reshape(1, -1)
-        pred = en_predict(model, row, feature_names=std.columns)
+        pred = model.predict(row, std.columns)
         assert abs(pred[0] - model.intercept) <= 1e-12
 
     def test_missing_column_rejected(self):
         x, y = _standardized_problem(13, n=20, p=3)
         model = en_fit(x, y, 0.5, 0.5, feature_names=("a", "b", "c"))
         with pytest.raises(ValidationError, match="'b'"):
-            en_predict(model, np.zeros((2, 2)), feature_names=("a", "c"))
+            model.predict(np.zeros((2, 2)), ("a", "c"))
 
-    def test_extra_column_warned_and_ignored(self):
+    def test_extra_column_ignored(self):
         x, y = _standardized_problem(14, n=20, p=2)
         model = en_fit(x, y, 0.5, 0.5, feature_names=("a", "b"))
-        with pytest.warns(UserWarning):
-            pred = en_predict(model, np.zeros((2, 3)), feature_names=("a", "b", "junk"))
-        assert pred.shape == (2,)
+        rows = np.random.default_rng(14).normal(size=(2, 3))
+        pred = model.predict(rows, ("b", "junk", "a"))
+        assert np.array_equal(pred, model.predict(rows[:, [2, 0]], ("a", "b")))
 
 
 class TestCv:
@@ -273,24 +271,22 @@ class TestCv:
         ]
         assert marked[0] == best
 
+    def test_one_se_cells_take_the_standard_error_at_the_minimum(self):
+        # 4 folds: the standard error at the minimum (cell 3) is 0.2 / 2, so
+        # cells 0 and 3 lie within it; cell 1's wide sd is not the minimum's
+        res = CvResult(
+            alphas=np.ones(5),
+            lambdas=np.arange(5.0),
+            mean_mse=np.array([0.95, 1.05, 1.2, 0.9, 1.01]),
+            sd_mse=np.array([0.2, 5.0, 0.2, 0.2, 0.2]),
+            chosen_alpha=1.0,
+            chosen_lambda=3.0,
+            fold_choices=((1.0, 3.0),) * 4,
+        )
+        assert res.one_se_cells == 2
+
 
 class TestSerialization:
-    def test_round_trip_exact(self):
-        # names deliberately not in sorted order: the document must
-        # preserve the coefficient vector's feature order
-        x, y = _standardized_problem(22, n=30, p=5)
-        model = en_fit(x, y, 0.3, 1.7, feature_names=("b", "a", "x10", "x2", "c"))
-        restored = EnModel.from_json(model.to_json())
-        assert restored.alpha == model.alpha
-        assert restored.lam == model.lam
-        assert restored.intercept == model.intercept
-        assert np.array_equal(restored.coefficients, model.coefficients)
-        assert restored.feature_names == model.feature_names
-        assert np.array_equal(restored.means, model.means)
-        assert np.array_equal(restored.sds, model.sds)
-        assert restored.n_sweeps == model.n_sweeps
-        assert restored.training_hash == model.training_hash
-
     def test_selected_features(self):
         x, y = _standardized_problem(23, n=30, p=4)
         lam_top = float(lambda_path(x, y, 1.0, n_lambda=2)[0])

@@ -20,8 +20,9 @@ from histgdp.evaluation import (
 )
 from histgdp.features import build_static_features
 from histgdp.numerics import mae_relative, quantile
-from histgdp.pipeline import EstimateRecord, fit_periods, predict_log10
+from histgdp.pipeline import EstimateRecord, fit_periods
 from histgdp.rng import child_seed
+from histgdp.synthetic import make_synthetic_world
 from conftest import small_test_config
 
 
@@ -294,7 +295,8 @@ class TestSharedPeriodLoop:
         n_rescaled_scored = 0
         for fit in fits:
             keys = sorted(k for k in fit.predictions if k in source and k[0] in spec.test_locations)
-            scored = predict_log10(fit.model, fit.features, keys)
+            rows = fit.features.subset(keys)
+            scored = fit.model.model.predict(rows.values, rows.columns)
             observed = np.array([source[k] for k in keys])
             assert split.per_period_mae_full[fit.period.period_id] == pytest.approx(
                 mae_relative(np.power(10.0, scored), observed), rel=1e-12
@@ -391,6 +393,37 @@ class TestOutputs:
         assert doc["median_mae_full_by_period"] == sig6(
             {pid: quantile(v, 0.5) for pid, v in per_period.items()}
         )
+
+    def test_summary_tallies_failed_splits_by_reason(self, monkeypatch, tmp_path):
+        # the gate leaves splits 4, 6 and 7 of this world too few test rows,
+        # and splits 0 and 1 raise one error class each while they are scored
+        world = make_synthetic_world(
+            n_countries=6, n_occupations=3, period_ids=("late_middle_ages", "early_modern"),
+            seed=23, n_regions_per_country=1, n_supra=2, label_fraction=0.7,
+            true_coefficients={"births.occ00": 0.45, "immigrants.total": 0.4},
+        )
+        planted = {0: NumericalError("planted"), 1: ValidationError("planted")}
+        real = evaluation.score_period
+
+        def score_period(dataset, split, fit):
+            if split.index in planted:
+                raise planted[split.index]
+            real(dataset, split, fit)
+
+        monkeypatch.setattr(evaluation, "score_period", score_period)
+        config = small_test_config(gating_thresholds=((2000, 20),))
+        dist = evaluate_models(world.dataset, config, n_splits=10, master_seed=2)
+        path = tmp_path / "evaluation_summary.json"
+        write_evaluation_summary(dist, path)
+        doc = json.loads(path.read_text())
+        assert [s.failure_reason for s in dist.splits] == [
+            "NumericalError", "ValidationError", None, None, "too_few_test_rows", None,
+            "too_few_test_rows", "too_few_test_rows", None, None,
+        ]
+        assert doc["n_failed"] == 5
+        assert doc["failed_by_reason"] == {
+            "NumericalError": 1, "ValidationError": 1, "too_few_test_rows": 3,
+        }
 
     def test_proxy_csv_round_trip(self, tmp_path):
         path = tmp_path / "proxy.csv"

@@ -70,29 +70,29 @@ def tensor(level, location_ids, occupations, weighted, unweighted=None):
 
 class TestHpi:
     def test_exact_powers_old(self):
-        assert hpi(1000, 1, 256).value == pytest.approx(7.0, abs=1e-12)
+        assert hpi(1000, 1, 256) == pytest.approx(7.0, abs=1e-12)
 
     def test_young_age_penalty(self):
-        assert hpi(10, 1, 64).value == pytest.approx(4.0 - 6.0 / 7.0, abs=1e-12)
+        assert hpi(10, 1, 64) == pytest.approx(4.0 - 6.0 / 7.0, abs=1e-12)
 
     def test_general_value(self):
         expect = 5.0 + math.log(7.0) + math.log(100.0) / math.log(4.0)
-        assert hpi(100000, 7, 100).value == pytest.approx(expect, abs=1e-9)
+        assert hpi(100000, 7, 100) == pytest.approx(expect, abs=1e-9)
         assert expect == pytest.approx(10.267838, abs=1e-6)
 
     def test_continuous_at_seventy(self):
-        below = hpi(100, 3, 70 - 1e-9).value
-        at = hpi(100, 3, 70).value
+        below = hpi(100, 3, 70 - 1e-9)
+        at = hpi(100, 3, 70)
         assert abs(below - at) < 1e-8
 
-    def test_clamping_flagged(self):
-        score = hpi(0, 1, 50)
-        assert score.clamped
-        assert score.value == hpi(1, 1, 50).value
+    def test_inputs_below_one_clamped(self):
+        assert hpi(0, 1, 50) == hpi(1, 1, 50)
+        assert hpi(10, 0, 50) == hpi(10, 1, 50)
+        assert hpi(10, 1, -3) == hpi(10, 1, 1)
 
     def test_weakly_increasing(self):
-        assert hpi(200, 3, 80).value >= hpi(100, 3, 80).value
-        assert hpi(100, 5, 80).value >= hpi(100, 3, 80).value
+        assert hpi(200, 3, 80) >= hpi(100, 3, 80)
+        assert hpi(100, 5, 80) >= hpi(100, 3, 80)
 
 
 class TestFlowCounts:
@@ -801,9 +801,8 @@ class TestElementwiseHpi:
         score = hpi(views, langs, ages)
         for i in range(views.size):
             one = hpi(views[i], langs[i], ages[i])
-            assert isinstance(one.value, float) and isinstance(one.clamped, bool)
-            assert score.value[i] == one.value and score.clamped[i] == one.clamped
-        assert score.clamped.tolist() == [True, True, False, False, False, True]
+            assert isinstance(one, float)
+            assert score[i] == one
 
     def test_empty_window(self, hpi_edge_dataset):
         ds, reference = hpi_edge_dataset

@@ -8,7 +8,7 @@ import pytest
 from histgdp.config import RunConfig
 from histgdp.data_ingest import Dataset, Location, LocationTable
 from histgdp import pipeline
-from histgdp.elasticnet import DEFAULT_TOL, en_predict, fit_centered
+from histgdp.elasticnet import DEFAULT_TOL, fit_centered
 from histgdp.errors import NumericalError, ValidationError
 from histgdp.explain import attribute_rows
 from histgdp.features import build_static_features
@@ -19,7 +19,6 @@ from histgdp.pipeline import (
     fit_baseline,
     fit_periods,
     format_float,
-    predict_log10,
     rescale_regions,
     run_full,
     train_period,
@@ -103,11 +102,6 @@ class TestBaseline:
         model = fit_baseline(keys, np.array([3.0, 2.0, 2.5]), None, fe_locations, PERIODS[0])
         assert model.lag_coefficient is None
 
-    def test_single_observation_cells_flagged(self, fe_locations):
-        keys = [("A1", 1300), ("B1", 1300), ("B2", 1300)]
-        model = fit_baseline(keys, np.array([3.0, 2.0, 2.1]), None, fe_locations, PERIODS[0])
-        assert "North|1300" in model.single_obs_cells
-
     def test_empty_period_rejected(self, fe_locations):
         with pytest.raises(ValidationError):
             fit_baseline([], np.array([]), None, fe_locations, PERIODS[0])
@@ -117,7 +111,6 @@ class TestBaseline:
         y = np.array([2.5, 3.0, 3.5, 2.0, 3.4])
         model = fit_baseline(keys, y, None, fe_locations, PERIODS[0])
         assert model.cells == ("North|1300", "North|1350", "South|1300", "South|1350")
-        assert model.single_obs_cells == ("North|1300", "South|1300", "South|1350")
         for (lid, year), expect in zip(keys[:2] + keys[3:4], (2.5, 3.0, 2.0)):
             assert model.predict_one(fe_locations.supra_of(lid), year, None) == \
                 pytest.approx(expect, abs=1e-8)
@@ -349,10 +342,8 @@ class TestModelReadsRowsByName:
     def test_column_order_and_unknown_columns_do_not_matter(self, period_fit):
         tpm, fm = period_fit.model, period_fit.features
         copy = reordered(fm)
-        expected = predict_log10(tpm, fm, fm.row_keys)
-        assert np.array_equal(predict_log10(tpm, copy, fm.row_keys), expected)
-        with pytest.warns(UserWarning, match="unknown to the model"):
-            assert np.array_equal(en_predict(tpm.model, copy.values, feature_names=copy.columns), expected)
+        expected = tpm.model.predict(fm.values, fm.columns)
+        assert np.array_equal(tpm.model.predict(copy.values, copy.columns), expected)
         for a, b in zip(attribute_rows(tpm.model, copy), attribute_rows(tpm.model, fm)):
             assert np.array_equal(a.phi, b.phi)
             assert (a.base, a.prediction) == (b.base, b.prediction)
@@ -363,9 +354,7 @@ class TestModelReadsRowsByName:
         copy = reordered(fm, drop=name)
         match = re.escape(f"'{name}'")
         with pytest.raises(ValidationError, match=match):
-            predict_log10(tpm, copy, fm.row_keys)
-        with pytest.raises(ValidationError, match=match):
-            en_predict(tpm.model, copy.values, feature_names=copy.columns)
+            tpm.model.predict(copy.values, copy.columns)
         with pytest.raises(ValidationError, match=match):
             attribute_rows(tpm.model, copy)
 
@@ -417,6 +406,22 @@ class TestRunFull:
         fitted = [e for e in small_run.report["periods"].values() if "skipped" not in e]
         for entry in fitted:
             assert 0.0 <= entry["cv_kkt_violation"] <= DEFAULT_TOL
+
+    def test_report_describes_the_cv_surface_and_the_design(self, small_world, small_config,
+                                                            small_run):
+        source = small_world.dataset.source_levels
+        fits = list(fit_periods(small_world.dataset, small_config,
+                                [(source, small_config.seed)], {}))
+        assert fits
+        for fit in fits:
+            entry = small_run.report["periods"][fit.period.period_id]
+            cv, x = fit.model.cv, fit.model.x
+            assert entry["cv_min_mse"] == cv.mean_mse.min() > 0.0
+            assert entry["cv_one_se_cells"] == cv.one_se_cells >= 1
+            assert entry["n_training_rows"] == x.shape[0]
+            # centered columns: the rank is below the row count as well
+            assert entry["design_rank"] == np.linalg.matrix_rank(x) <= min(
+                x.shape[0] - 1, entry["n_candidates"])
 
     def test_source_rows_pass_through(self, small_world, small_run):
         by_key = {}
