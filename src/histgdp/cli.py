@@ -86,14 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="histgdp", description=__doc__)
     parser.add_argument("--version", action="version", version=f"histgdp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_config_flags(sub.add_parser("validate", help="ingest inputs and report data quality"))
-    _add_config_flags(sub.add_parser("features", help="export feature_matrix_<year>.csv files"))
-    _add_config_flags(sub.add_parser("estimate", help="produce estimates.csv and run_report.json"))
-    _add_config_flags(sub.add_parser("evaluate", help="run the held-out-country protocol"))
-    _add_config_flags(sub.add_parser("explain", help="export Shapley attributions per period"))
-    correlate = _add_config_flags(
-        sub.add_parser("correlate", help="correlate estimates with a proxy")
-    )
+    for name, run, help_text in (
+        ("validate", cmd_validate, "ingest inputs and report data quality"),
+        ("features", cmd_features, "export feature_matrix_<year>.csv files"),
+        ("estimate", cmd_estimate, "produce estimates.csv and run_report.json"),
+        ("evaluate", cmd_evaluate, "run the held-out-country protocol"),
+        ("explain", cmd_explain, "export Shapley attributions per period"),
+        ("correlate", cmd_correlate, "correlate estimates with a proxy"),
+    ):
+        _add_config_flags(sub.add_parser(name, help=help_text)).set_defaults(run=run)
+    correlate = sub.choices["correlate"]
     correlate.add_argument("--estimates", help="estimates.csv from a prior run")
     correlate.add_argument("--transform", choices=("none", "log10"), default=None)
     return parser
@@ -129,7 +131,7 @@ def _load(config):
     )
 
 
-def cmd_validate(config) -> int:
+def cmd_validate(config, args) -> int:
     out = Path(config.output_dir)
     try:
         dataset = _load(config)
@@ -152,7 +154,7 @@ def cmd_validate(config) -> int:
     return 0
 
 
-def cmd_features(config) -> int:
+def cmd_features(config, args) -> int:
     out = Path(config.output_dir)
     dataset = _load(config)
     n_written = 0
@@ -165,7 +167,7 @@ def cmd_features(config) -> int:
     return 0
 
 
-def cmd_estimate(config) -> int:
+def cmd_estimate(config, args) -> int:
     out = Path(config.output_dir)
     dataset = _load(config)
     result = run_full(dataset, config)
@@ -181,7 +183,7 @@ def cmd_estimate(config) -> int:
     return 0
 
 
-def cmd_evaluate(config) -> int:
+def cmd_evaluate(config, args) -> int:
     out = Path(config.output_dir)
     dataset = _load(config)
     dist = evaluate_models(dataset, config)
@@ -194,7 +196,7 @@ def cmd_evaluate(config) -> int:
     return 0
 
 
-def cmd_explain(config) -> int:
+def cmd_explain(config, args) -> int:
     out = Path(config.output_dir)
     dataset = _load(config)
     results = run_explain(dataset, config)
@@ -209,20 +211,9 @@ def cmd_correlate(config, args) -> int:
     out = Path(config.output_dir)
     if config.proxies is None:
         raise InputError("correlate needs --proxies")
-    estimates_path = args.estimates or (out / "estimates.csv")
-    estimates = read_estimates_csv(estimates_path)
-    rows = load_proxy_csv(config.proxies)
-    transform = args.transform or "log10"
-    res = proxy_correlation(estimates, rows, transform=transform)
-    doc = {
-        "transform": transform,
-        "pearson_r": res.r,
-        "n": res.n,
-        "pearson_r_source": res.r_source,
-        "n_source": res.n_source,
-        "pearson_r_estimate": res.r_estimate,
-        "n_estimate": res.n_estimate,
-    }
+    estimates = read_estimates_csv(args.estimates or (out / "estimates.csv"))
+    doc = proxy_correlation(estimates, load_proxy_csv(config.proxies),
+                            transform=args.transform or "log10")
     write_json(out / "correlation.json", doc)
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -235,20 +226,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _resolve_config(args)
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "features":
-            return cmd_features(config)
-        if args.command == "estimate":
-            return cmd_estimate(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        if args.command == "explain":
-            return cmd_explain(config)
-        if args.command == "correlate":
-            return cmd_correlate(config, args)
-        raise InputError(f"unknown command '{args.command}'")
+        return args.run(_resolve_config(args), args)
     except HistGdpError as err:
         print(f"histgdp {args.command}: {err}", file=sys.stderr)
         return err.exit_code

@@ -7,6 +7,7 @@ echoed into every run report so a run can be reproduced from its outputs.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -39,7 +40,12 @@ CHOICES = {
 
 @dataclass
 class RunConfig:
-    """Every run setting; each field is also a config key and a flag."""
+    """Every run setting; each field is also a config key and a flag.
+
+    Construction refuses a value not of its field's type (see
+    :func:`_expected_type`), whether it comes from a config file or a
+    library caller, before any range check or coercion.
+    """
 
     # input/output paths
     biographies: str | None = field(default=None, metadata={"help": "biographies.csv path"})
@@ -80,6 +86,12 @@ class RunConfig:
     )
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (expected := _expected_type(f, value)) is not None:
+                raise ValidationError(f"config key '{f.name}' must be {expected}, got {value!r}")
+            if field_type(f) in (int, float):  # a numpy number would not echo as JSON
+                setattr(self, f.name, field_type(f)(value))
         self.alpha_grid = tuple(float(a) for a in self.alpha_grid)
         self.gating_thresholds = tuple(
             (int(y), int(t)) for y, t in self.gating_thresholds
@@ -153,26 +165,25 @@ def field_type(f) -> type:
 
 
 def _is_a(value, kind: type) -> bool:
-    """Whether a JSON ``value`` is a ``kind``: a bool is no number, and an
-    int is also a float."""
-    return not isinstance(value, bool) and isinstance(
-        value, (int, float) if kind is float else kind
-    )
+    """Whether ``value`` is a ``kind``: a bool is no number, any integral
+    number (numpy's too) is an int, and any real number is a float."""
+    kind = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return not isinstance(value, bool) and isinstance(value, kind)
 
 
-def _expected_type(key: str, value) -> str | None:
-    """What config-file key ``key`` must hold, when ``value`` is not that;
-    else None.  A tuple field holds a list, as its flag parser builds it."""
-    if key == "alpha_grid":
-        ok = isinstance(value, list) and all(_is_a(a, float) for a in value)
+def _expected_type(f, value) -> str | None:
+    """What :class:`RunConfig` field ``f`` must hold, when ``value`` is not
+    that; else None.  A tuple field holds a list or a tuple."""
+    sequence = (list, tuple)
+    if f.name == "alpha_grid":
+        ok = isinstance(value, sequence) and all(_is_a(a, float) for a in value)
         return None if ok else "a list of numbers"
-    if key == "gating_thresholds":
-        ok = isinstance(value, list) and all(
-            isinstance(pair, list) and len(pair) == 2 and all(_is_a(x, int) for x in pair)
+    if f.name == "gating_thresholds":
+        ok = isinstance(value, sequence) and all(
+            isinstance(pair, sequence) and len(pair) == 2 and all(_is_a(x, int) for x in pair)
             for pair in value
         )
         return None if ok else "a list of [year, threshold] integer pairs"
-    f = _FIELDS[key]
     if _is_a(value, field_type(f)) or (value is None and f.default is None):
         return None
     return {int: "an integer", float: "a number", str: "a string"}[field_type(f)]
@@ -181,9 +192,9 @@ def _expected_type(key: str, value) -> str | None:
 def config_from_sources(file_path=None, overrides=None) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus flag overrides.
 
-    The config file uses flat keys mirroring the flag names.  Unknown keys,
-    and values not of their field's type, are rejected so typos surface
-    immediately.
+    The config file uses flat keys mirroring the flag names.  Unknown keys
+    are rejected so typos surface immediately; :class:`RunConfig` refuses
+    a value not of its field's type.
     """
     merged: dict = {}
     if file_path is not None:
@@ -199,10 +210,6 @@ def config_from_sources(file_path=None, overrides=None) -> RunConfig:
         unknown = set(loaded) - set(_FIELDS)
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
-        for key, value in sorted(loaded.items()):
-            if (expected := _expected_type(key, value)) is not None:
-                raise ValidationError(f"{path}: config key '{key}' must be {expected}, "
-                                      f"got {json.dumps(value)}")
         merged.update(loaded)
     for key, value in (overrides or {}).items():
         if value is None:

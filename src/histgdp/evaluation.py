@@ -45,19 +45,11 @@ FAILURE_REASONS = ("NumericalError", "ValidationError", "too_few_test_rows")
 BATCH_BYTES = 2 << 20
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """One held-out test set: countries plus all their regions."""
-
-    seed: int
-    test_countries: tuple
-    test_locations: tuple
-
-
 def split_countries(countries, fraction: float = 0.2, seed: int = 0,
-                    locations: LocationTable | None = None) -> SplitSpec:
-    """Draw ``ceil(fraction * n)`` test countries uniformly without
-    replacement; their regions are attached automatically."""
+                    locations: LocationTable | None = None) -> tuple:
+    """One held-out test set: ``ceil(fraction * n)`` countries drawn
+    uniformly without replacement, plus all their regions when
+    ``locations`` is given.  Returns the test locations, sorted."""
     countries = sorted(countries)
     if len(countries) < MIN_COUNTRIES:
         raise ValidationError(
@@ -68,15 +60,12 @@ def split_countries(countries, fraction: float = 0.2, seed: int = 0,
         raise ValidationError(f"split_countries: fraction {fraction} outside (0, 1)")
     n_test = math.ceil(fraction * len(countries))
     rng = np.random.default_rng(seed)
-    chosen = sorted(rng.choice(len(countries), size=n_test, replace=False).tolist())
-    test_countries = tuple(countries[i] for i in chosen)
-    test_locations = list(test_countries)
+    chosen = [countries[i] for i in rng.choice(len(countries), size=n_test, replace=False)]
+    test_locations = list(chosen)
     if locations is not None:
-        for c in test_countries:
+        for c in chosen:
             test_locations.extend(locations.regions_of(c))
-    return SplitSpec(
-        seed=seed, test_countries=test_countries, test_locations=tuple(sorted(test_locations))
-    )
+    return tuple(sorted(test_locations))
 
 
 @dataclass(frozen=True)
@@ -155,10 +144,9 @@ def open_split(dataset: Dataset, config: RunConfig, split_index: int,
     """Draw split ``split_index``'s test countries and withhold their levels."""
     locations = dataset.locations
     split_seed = child_seed(master_seed, "split", split_index)
-    spec = split_countries(
+    test_locs = set(split_countries(
         locations.countries(), config.test_fraction, split_seed, locations
-    )
-    test_locs = set(spec.test_locations)
+    ))
     source = dataset.source_levels
     return HeldOutSplit(
         index=split_index,
@@ -170,8 +158,9 @@ def open_split(dataset: Dataset, config: RunConfig, split_index: int,
 
 def score_period(dataset: Dataset, split: HeldOutSplit, fit) -> None:
     """A split's stage of one fitted period: check that no test row reached
-    the tuning matrix, fit the baseline, and score both models on the
-    period's test rows."""
+    the tuning matrix, fit the baseline and predict every row the full
+    model predicts, and score both models on the period's test rows.  Each
+    location's lag comes from one :func:`initial_gdp` call."""
     locations = dataset.locations
     period = fit.period
     # no-leakage guarantee: the tuning matrix rows are disjoint from test keys
@@ -182,22 +171,20 @@ def score_period(dataset: Dataset, split: HeldOutSplit, fit) -> None:
             f"matrix, first {min(leaked)}"
         )
 
-    def base_lag(lid):
-        if period.prev_end is None:
-            return None
-        return initial_gdp(lid, period.prev_end, split.train_source, split.base_store,
-                           locations)[0]
-
-    base_keys = sorted(fit.labels)
-    y_train = [math.log10(fit.labels[k]) for k in base_keys]
-    base_init = None if period.prev_end is None else [base_lag(lid) for lid, _ in base_keys]
-    baseline = fit_baseline(base_keys, y_train, base_init, locations, period)
-    # the full model is scored on its own prediction, before regional rescaling
-    en_preds = fit.predictions
-    base_preds = {
-        (lid, year): baseline.predict_one(locations.supra_of(lid), year, base_lag(lid))
-        for lid, year in sorted(en_preds)
-    }
+    train_keys = sorted(fit.labels)
+    en_preds = fit.predictions  # the full model's, before regional rescaling
+    pred_keys = sorted(en_preds)
+    train_lag = pred_lag = None
+    if period.prev_end is not None:
+        # one lag per location, all read before the baseline's store grows
+        lag = {lid: initial_gdp(lid, period.prev_end, split.train_source, split.base_store,
+                                locations)[0]
+               for lid in {lid for lid, _ in train_keys + pred_keys}}
+        train_lag = [lag[lid] for lid, _ in train_keys]
+        pred_lag = [lag[lid] for lid, _ in pred_keys]
+    base_log = fit_baseline(train_keys, [math.log10(fit.labels[k]) for k in train_keys],
+                            train_lag, pred_keys, pred_lag, locations)
+    base_preds = dict(zip(pred_keys, base_log.tolist()))
     split.base_store.update({k: 10.0 ** v for k, v in base_preds.items()})
 
     gated_set = set(fit.gated)
@@ -346,22 +333,15 @@ def evaluate_models(
     return summarize_performance(splits)
 
 
-@dataclass(frozen=True)
-class ProxyCorrelation:
-    r: float
-    n: int
-    r_source: float | None
-    n_source: int
-    r_estimate: float | None
-    n_estimate: int
-
-
-def proxy_correlation(estimates, proxy_rows, transform: str = "none") -> ProxyCorrelation:
-    """Pearson correlation between estimates and an external proxy series.
+def proxy_correlation(estimates, proxy_rows, transform: str = "none") -> dict:
+    """Pearson correlation between estimates and an external proxy series,
+    as the ``correlation.json`` document.
 
     Joins on (location, year); the transform applies to the GDP estimate.
-    Correlations are also reported separately for source-backed and
-    model-estimated rows (None when a subset has fewer than 3 matches).
+    ``pearson_r`` over ``n`` matched rows is also reported separately for
+    source-backed (``pearson_r_source``, ``n_source``) and model-estimated
+    (``pearson_r_estimate``, ``n_estimate``) rows; a subset with fewer
+    than 3 matches has no correlation (None).
     """
     if transform not in ("none", "log10"):
         raise ValidationError(f"unknown transform '{transform}'")
@@ -385,14 +365,15 @@ def proxy_correlation(estimates, proxy_rows, transform: str = "none") -> ProxyCo
 
     source_pairs = [p for p in pairs if p[2] == "source"]
     estimate_pairs = [p for p in pairs if p[2] == "estimate"]
-    return ProxyCorrelation(
-        r=corr(pairs),
-        n=len(pairs),
-        r_source=corr(source_pairs),
-        n_source=len(source_pairs),
-        r_estimate=corr(estimate_pairs),
-        n_estimate=len(estimate_pairs),
-    )
+    return {
+        "transform": transform,
+        "pearson_r": corr(pairs),
+        "n": len(pairs),
+        "pearson_r_source": corr(source_pairs),
+        "n_source": len(source_pairs),
+        "pearson_r_estimate": corr(estimate_pairs),
+        "n_estimate": len(estimate_pairs),
+    }
 
 
 PROXY_HEADER = ["location_id", "year", "value"]

@@ -81,17 +81,13 @@ class OlsResult:
 
     intercept: float
     coefficients: np.ndarray
-    rank_deficient: bool
-
-    def predict(self, x) -> np.ndarray:
-        return self.intercept + _as_array(x) @ self.coefficients
 
 
 def ols_fit(x, y) -> OlsResult:
     """Ordinary least squares of ``y`` on ``x`` plus an intercept column.
 
-    Solved through the SVD pseudo-inverse, so rank-deficient designs yield
-    the minimum-norm solution and are flagged instead of failing.
+    Solved through the SVD pseudo-inverse, so a rank-deficient design
+    yields the minimum-norm solution instead of failing.
     """
     a = _as_array(x)
     yv = np.asarray(y, dtype=float)
@@ -106,11 +102,7 @@ def ols_fit(x, y) -> OlsResult:
     keep = dec.s > cutoff
     inv_s = np.where(keep, 1.0 / np.where(keep, dec.s, 1.0), 0.0)
     beta = dec.v @ (inv_s * (dec.u.T @ yv))
-    return OlsResult(
-        intercept=float(beta[0]),
-        coefficients=beta[1:],
-        rank_deficient=bool(np.any(~keep)),
-    )
+    return OlsResult(intercept=float(beta[0]), coefficients=beta[1:])
 
 
 @dataclass(frozen=True)

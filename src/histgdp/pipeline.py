@@ -96,59 +96,36 @@ class TrainedPeriodModel:
     y: np.ndarray
 
 
-@dataclass(frozen=True)
-class BaselineModel:
-    """OLS with supranational-region x snapshot-year fixed effects plus the
-    previous-period income level (absent for the earliest period)."""
+def fit_baseline(train_keys, y_log, train_lag, test_keys, test_lag,
+                 locations: LocationTable) -> np.ndarray:
+    """Fit one period's persistence-plus-fixed-effects baseline and predict
+    its test keys.
 
-    cells: tuple
-    cell_coefficients: np.ndarray
-    intercept: float
-    lag_coefficient: float | None
-    _cell_index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_cell_index", {c: k for k, c in enumerate(self.cells)})
-
-    def predict_one(self, supra: str, year: int, init_log: float | None) -> float:
-        value = self.intercept
-        k = self._cell_index.get(f"{supra}|{year}")
-        if k is not None:
-            value += float(self.cell_coefficients[k])
-        if self.lag_coefficient is not None:
-            if init_log is None:
-                raise ValidationError("baseline prediction needs an initial income value")
-            value += self.lag_coefficient * init_log
-        return value
-
-
-def fit_baseline(labeled_keys, y_log, init_log, locations: LocationTable, period: Period) -> BaselineModel:
-    """Fit the persistence-plus-fixed-effects baseline for one period.
-
-    ``init_log`` is the per-row log10 previous-period income (None for the
-    earliest period, which has no lag regressor).
+    OLS of the training rows' log10 levels on supranational-region x
+    snapshot-year indicators plus the log10 previous-period income
+    ``train_lag`` (None for the earliest period, which has no lag
+    regressor).  Returns the log10 predictions of ``test_keys``: the
+    intercept, plus the row's cell effect (none for a cell without a
+    training row), plus the lag coefficient times the row's ``test_lag``.
     """
-    keys = list(labeled_keys)
-    if not keys:
-        raise ValidationError(f"fit_baseline: no observations in period '{period.period_id}'")
-    y = np.asarray(y_log, dtype=float)
-    row_cells = [f"{locations.supra_of(lid)}|{year}" for lid, year in keys]
-    cells = sorted(set(row_cells))
-    column = {cell: k for k, cell in enumerate(cells)}
-    design = np.zeros((len(keys), len(cells) + (0 if init_log is None else 1)))
-    design[np.arange(len(keys)), [column[cell] for cell in row_cells]] = 1.0
-    if init_log is not None:
-        init = np.asarray(init_log, dtype=float)
-        if init.size != len(keys):
-            raise ValidationError("fit_baseline: init_log length must match rows")
-        design[:, -1] = init
-    fit = ols_fit(design, y)
-    return BaselineModel(
-        cells=tuple(cells),
-        cell_coefficients=fit.coefficients[: len(cells)],
-        intercept=fit.intercept,
-        lag_coefficient=None if init_log is None else float(fit.coefficients[-1]),
-    )
+    if not train_keys:
+        raise ValidationError("fit_baseline: no training observations")
+
+    def cell(key):
+        return f"{locations.supra_of(key[0])}|{key[1]}"
+
+    row_cells = [cell(k) for k in train_keys]
+    column = {c: k for k, c in enumerate(sorted(set(row_cells)))}
+    design = np.zeros((len(train_keys), len(column) + (train_lag is not None)))
+    design[np.arange(len(train_keys)), [column[c] for c in row_cells]] = 1.0
+    if train_lag is not None:
+        design[:, -1] = train_lag
+    fit = ols_fit(design, y_log)
+    effects = np.append(fit.coefficients[: len(column)], 0.0)  # the last: an unseen cell
+    predictions = fit.intercept + effects[[column.get(cell(k), len(column)) for k in test_keys]]
+    if train_lag is not None:
+        predictions += fit.coefficients[-1] * np.asarray(test_lag, dtype=float)
+    return predictions
 
 
 @dataclass(frozen=True)
@@ -285,23 +262,24 @@ def bootstrap_ci(
     n_samples: int = 200,
     level: float = 0.90,
     seed: int = 0,
-    unit: str = "row",
     clusters=None,
     level_factors=None,
 ):
     """Percentile-bootstrap confidence intervals for target predictions.
 
     Resamples units with replacement and refits at the already-chosen
-    hyperparameters.  A unit is a training row or, for ``unit="country"``, a
-    ``clusters`` label; every row of a unit gets the unit's ``np.bincount``
-    multiplicity in the replicate's row of weights, and one
+    hyperparameters.  A unit is a training row or, given ``clusters`` (one
+    label per row), a cluster; every row of a unit gets the unit's
+    ``np.bincount`` multiplicity in the replicate's row of weights, and one
     :func:`fit_centered` call solves them all, each starting from
     ``start``: the full-data fit's coefficients at these hyperparameters,
     which the period model already holds.  The intervals are quantiles of the level-scale
     predictions.  ``level_factors`` multiplies each target's replicate
     predictions (the regional rescaling factor).  A resample with a
     constant response is redrawn; a replicate that draws one
-    ``MAX_RESAMPLE_ATTEMPTS`` times raises :class:`NumericalError`.
+    ``MAX_RESAMPLE_ATTEMPTS`` times raises :class:`NumericalError`, and
+    ``clusters`` of another length than the rows raise
+    :class:`ValidationError`.
     Returns (ci_low, ci_high, skipped_replicates).
     """
     if n_samples < MIN_BOOTSTRAP_SAMPLES:
@@ -313,12 +291,12 @@ def bootstrap_ci(
     targets = np.asarray(x_targets, dtype=float)
     n = x.shape[0]
     factors = np.ones(targets.shape[0]) if level_factors is None else np.asarray(level_factors)
-    if unit == "row":
+    if clusters is None:
         unit_of = np.arange(n)  # each row's unit
-    elif unit == "country" and clusters is not None:
+    elif len(clusters) == n:
         unit_of = np.unique(np.asarray(clusters), return_inverse=True)[1]  # in label order
     else:
-        raise ValidationError(f"bootstrap_ci: unit must be row, or country with clusters: {unit}")
+        raise ValidationError(f"bootstrap_ci: {len(clusters)} cluster labels for {n} rows")
     n_units = int(unit_of.max()) + 1
     full_degenerate = bool(np.all(y == y[0]))
 
@@ -594,7 +572,6 @@ def run_full(dataset: Dataset, config: RunConfig) -> RunResult:
                 n_samples=config.bootstrap_samples,
                 level=config.ci_level,
                 seed=child_seed(config.seed, "bootstrap", PERIODS.index(period)),
-                unit=config.bootstrap_unit,
                 clusters=clusters,
                 level_factors=[fit.factors[k] for k in ordered],
             )

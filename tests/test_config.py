@@ -2,10 +2,12 @@
 choices, the gating rules and the README's key list must all follow it."""
 
 import argparse
+import json
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from histgdp.cli import _resolve_config, build_parser
@@ -113,6 +115,26 @@ def test_readme_config_keys_are_the_fields():
 def test_out_of_range_setting_raises(overrides, message):
     with pytest.raises(ValidationError, match=message):
         RunConfig(**overrides)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"n_lambda": 2.5}, "config key 'n_lambda' must be an integer, got 2.5"),
+    ({"window_years": True}, "config key 'window_years' must be an integer, got True"),
+    ({"seed": 1.5}, "config key 'seed' must be an integer, got 1.5"),
+    ({"bootstrap_samples": 50.5}, "config key 'bootstrap_samples' must be an integer, got 50.5"),
+    ({"k_folds": "5"}, "config key 'k_folds' must be an integer, got '5'"),
+])
+def test_wrongly_typed_setting_raises(overrides, message):
+    # a library caller's value is checked as a config file's is
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        RunConfig(**overrides)
+
+
+def test_numpy_integer_is_an_integer():
+    # taken as a plain int, so that the run report's echo can write it
+    config = RunConfig(seed=np.int64(3))
+    assert type(config.seed) is int and config.seed == 3
+    assert json.loads(json.dumps(config.echo()))["seed"] == 3
 
 
 def test_reject_fraction_and_window_accept_their_bounds():

@@ -82,41 +82,43 @@ class TestBaseline:
     def test_region_means_recovered(self, fe_locations):
         keys = [("A1", 1300), ("A2", 1300), ("B1", 1300), ("B2", 1300)]
         y = np.array([3.0, 3.0, 2.0, 2.0])  # North 3.0, South 2.0
-        model = fit_baseline(keys, y, None, fe_locations, PERIODS[0])
-        for (lid, year), expect in zip(keys, y):
-            supra = fe_locations.supra_of(lid)
-            assert model.predict_one(supra, year, None) == pytest.approx(expect, abs=1e-8)
+        pred = fit_baseline(keys, y, None, keys, None, fe_locations)
+        assert pred == pytest.approx(y, abs=1e-8)
 
     def test_exact_persistence(self, fe_locations):
+        # y equals the lag exactly, so every prediction is its row's lag:
+        # a lag coefficient of 1 with no intercept and no cell effect
         rng = np.random.default_rng(0)
         keys = [(lid, year) for lid in ("A1", "A2", "B1", "B2") for year in (1550, 1600)]
         init = rng.normal(3.0, 0.5, size=len(keys))
-        y = init.copy()  # y equals the lag exactly
-        model = fit_baseline(keys, y, init, fe_locations, PERIODS[1])
-        assert model.lag_coefficient == pytest.approx(1.0, abs=1e-8)
-        assert abs(model.intercept) <= 1e-8
-        assert np.max(np.abs(model.cell_coefficients)) <= 1e-8
+        test_keys = [("A1", 1550), ("B2", 1600), ("A2", 1600)]
+        test_lag = np.array([2.0, 3.5, 4.25])
+        pred = fit_baseline(keys, init.copy(), init, test_keys, test_lag, fe_locations)
+        assert pred == pytest.approx(test_lag, abs=1e-8)
 
     def test_earliest_period_has_no_lag(self, fe_locations):
+        # no lag regressor: a cell's prediction is its training mean
         keys = [("A1", 1300), ("B1", 1300), ("A2", 1300)]
-        model = fit_baseline(keys, np.array([3.0, 2.0, 2.5]), None, fe_locations, PERIODS[0])
-        assert model.lag_coefficient is None
+        pred = fit_baseline(keys, np.array([3.0, 2.0, 2.5]), None, [("A2", 1300), ("B2", 1300)],
+                            None, fe_locations)
+        assert pred == pytest.approx([2.75, 2.0], abs=1e-8)
 
     def test_empty_period_rejected(self, fe_locations):
         with pytest.raises(ValidationError):
-            fit_baseline([], np.array([]), None, fe_locations, PERIODS[0])
+            fit_baseline([], np.array([]), None, [("A1", 1300)], None, fe_locations)
 
     def test_design_has_one_indicator_per_row(self, fe_locations):
         keys = [("B2", 1350), ("A1", 1300), ("A2", 1350), ("B1", 1300), ("A1", 1350)]
         y = np.array([2.5, 3.0, 3.5, 2.0, 3.4])
-        model = fit_baseline(keys, y, None, fe_locations, PERIODS[0])
-        assert model.cells == ("North|1300", "North|1350", "South|1300", "South|1350")
-        for (lid, year), expect in zip(keys[:2] + keys[3:4], (2.5, 3.0, 2.0)):
-            assert model.predict_one(fe_locations.supra_of(lid), year, None) == \
-                pytest.approx(expect, abs=1e-8)
-        assert model.predict_one("North", 1350, None) == pytest.approx(3.45, abs=1e-8)
-        # a cell the period never saw adds no fixed effect
-        assert model.predict_one("West", 1300, None) == model.intercept
+        locations = LocationTable([
+            Location(lid, lid, "country", None, supra)
+            for lid, supra in (("A1", "North"), ("A2", "North"), ("B1", "South"),
+                               ("B2", "South"), ("W1", "West"))
+        ])
+        # a cell the period never saw adds no fixed effect: West|1300 gets
+        # the minimum-norm intercept, the four cell means' sum over 5
+        pred = fit_baseline(keys, y, None, keys + [("W1", 1300)], None, locations)
+        assert pred == pytest.approx([2.5, 3.0, 3.45, 2.0, 3.45, 10.95 / 5], abs=1e-8)
 
 
 class TestRescaling:
@@ -195,18 +197,11 @@ class TestBootstrap:
         with pytest.raises(NumericalError, match="constant response"):
             bootstrap_ci(x, y, 0.5, 1.0, np.zeros((1, 2)), np.zeros(2), n_samples=50, seed=1)
 
-    def test_country_unit_needs_clusters(self):
-        with pytest.raises(ValidationError):
+    def test_clusters_need_one_label_per_row(self):
+        with pytest.raises(ValidationError, match="9 cluster labels for 10 rows"):
             bootstrap_ci(
                 np.zeros((10, 1)), np.arange(10.0), 0.5, 0.5, np.zeros((1, 1)),
-                np.zeros(1), n_samples=50, unit="country",
-            )
-
-    def test_unknown_unit_is_refused(self):
-        with pytest.raises(ValidationError, match="unit must be row"):
-            bootstrap_ci(
-                np.zeros((10, 1)), np.arange(10.0), 0.5, 0.5, np.zeros((1, 1)),
-                np.zeros(1), n_samples=50, unit="countries", clusters=["a"] * 10,
+                np.zeros(1), n_samples=50, clusters=["a"] * 9,
             )
 
     def test_minimum_samples(self):
@@ -233,7 +228,7 @@ class TestBootstrap:
         clusters = [f"C{i % 6}" for i in range(30)]
         lo, hi, skipped = bootstrap_ci(
             x, y, 0.5, 0.3, rng.normal(size=(4, 3)), full_fit(x, y, 0.5, 0.3),
-            n_samples=60, seed=2, unit="country", clusters=clusters,
+            n_samples=60, seed=2, clusters=clusters,
         )
         assert np.all(lo <= hi)
         assert np.all(lo > 0)
@@ -248,7 +243,7 @@ class TestBootstrap:
         t, start = rng.normal(size=(3, 2)), full_fit(x, y, 0.5, 0.1)
         by_row = bootstrap_ci(x, y, 0.5, 0.1, t, start, n_samples=60, seed=4)
         by_country = bootstrap_ci(
-            x, y, 0.5, 0.1, t, start, n_samples=60, seed=4, unit="country",
+            x, y, 0.5, 0.1, t, start, n_samples=60, seed=4,
             clusters=[f"c{i:03d}" for i in range(12)],
         )
         assert by_row[2] == by_country[2] > 0
